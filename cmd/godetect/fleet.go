@@ -70,9 +70,9 @@ func runFleet(ctx context.Context, ff fleetFlags, kernelID string, b engineJob, 
 
 	fmt.Print(rep.Result.Text)
 	view := struct {
-		Degraded    bool                `json:"degraded"`
-		LocalShards int                 `json:"localShards"`
-		Shards      int                 `json:"shards"`
+		Degraded    bool                 `json:"degraded"`
+		LocalShards int                  `json:"localShards"`
+		Shards      int                  `json:"shards"`
 		Daemons     []fleet.DaemonReport `json:"daemons"`
 	}{rep.Degraded, rep.LocalShards, rep.Shards, rep.Daemons}
 	if raw, merr := json.MarshalIndent(view, "", "  "); merr == nil {

@@ -82,7 +82,7 @@ func oneShot(args []string) int {
 	faultseed := fs.Int64("faultseed", 1, "base seed for the fault injector; run i perturbs with faultseed+i")
 	aggressive := fs.Bool("aggressive", false, "with -faults: also inject program-changing faults (early timeouts, spurious wakeups, goroutine kills, panics, channel closes) — a correct program may legitimately fail under these")
 	deadlineFlag := fs.Duration("deadline", 0, "wall-clock budget for sweeps and exploration; on expiry partial results are reported with an incomplete verdict")
-	resume := fs.String("resume", "", "checkpoint file for -with sweeps: progress is saved there periodically and a restart with the same options resumes instead of re-running")
+	resume := fs.String("resume", "", "checkpoint file for -with sweeps: each run's record is appended there (fsynced every runs/50) and a restart with the same options resumes instead of re-running")
 	faulttable := fs.Bool("faulttable", false, "emit the fault-injection experiment table (Markdown): schedules-to-first-detection with vs without benign injection, per study kernel")
 	shards := fs.Int("shards", 1, "partition a -with sweep's seed range into this many contiguous shards, one process each (needs -resume for the shard checkpoints)")
 	shardIdx := fs.Int("shard", 0, "with -shards: the 0-based shard this process sweeps")

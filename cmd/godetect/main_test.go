@@ -153,8 +153,8 @@ func TestRecordThenReplaySweep(t *testing.T) {
 
 func TestRecordReplayFlagValidation(t *testing.T) {
 	for _, tc := range [][]string{
-		{"-kernel", "docker-abba-order", "-record", "x"},                                 // no -with
-		{"-kernel", "docker-abba-order", "-replay", "x"},                                 // no -with
+		{"-kernel", "docker-abba-order", "-record", "x"},                                  // no -with
+		{"-kernel", "docker-abba-order", "-replay", "x"},                                  // no -with
 		{"-kernel", "docker-abba-order", "-with", "race", "-replay", "x", "-record", "y"}, // both
 	} {
 		if _, stderr, code := runCLI(t, tc...); code != 2 {

@@ -48,23 +48,32 @@ type simEnv struct {
 
 // SimProgram compiles p into a sim.Program for external harnesses (the
 // offline-replay differential suite runs generated programs through the
-// detector pipeline). The final-variable environment is discarded; callers
-// that need terminal signatures go through ExploreSim instead.
+// detector pipeline). The final-variable environment is discarded — callers
+// that need terminal signatures go through ExploreSim instead — so runs
+// share no state and may execute on parallel sweep workers.
 func SimProgram(p *Program) sim.Program {
-	prog, _ := simProgram(p)
-	return prog
+	return compileSim(p, nil)
 }
 
-// simProgram compiles p into a sim.Program. Every invocation builds fresh
-// resources, so the same value can be run under many seeds or schedules; the
-// returned slot points at the environment of the most recently *started*
-// run, which equals the just-finished run whenever runs are serial (the
-// conformance oracle explores with Workers == 1 for exactly this reason).
+// simProgram compiles p into a sim.Program whose runs record their
+// environment in the returned slot. The slot points at the environment of
+// the most recently *started* run, which equals the just-finished run
+// whenever runs are serial (the conformance oracle explores with
+// Workers == 1 for exactly this reason).
 func simProgram(p *Program) (prog sim.Program, envSlot **simEnv) {
 	slot := new(*simEnv)
+	return compileSim(p, slot), slot
+}
+
+// compileSim compiles p into a sim.Program. Every invocation builds fresh
+// resources, so the same value can be run under many seeds or schedules;
+// when slot is non-nil each run stores its environment there.
+func compileSim(p *Program, slot **simEnv) sim.Program {
 	return func(t *sim.T) {
 		env := &simEnv{p: p}
-		*slot = env
+		if slot != nil {
+			*slot = env
+		}
 		for i, d := range p.Chans {
 			if d.Nil {
 				env.chans = append(env.chans, sim.NilChan[int64]())
@@ -108,7 +117,7 @@ func simProgram(p *Program) (prog sim.Program, envSlot **simEnv) {
 			env.sems = append(env.sems, sim.NewSemaphore(t, fmt.Sprintf("sem%d", i), n))
 		}
 		env.exec(t, p.Goroutines[0])
-	}, slot
+	}
 }
 
 // exec interprets a statement list on the simulated runtime.

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"goconcbugs/internal/event"
+	"goconcbugs/internal/frame"
 	"goconcbugs/internal/harness"
 	"goconcbugs/internal/sim"
 )
@@ -260,17 +261,14 @@ type SweepOptions struct {
 	// function of (run, seed), so the sweep stays a deterministic function
 	// of its options for any Workers value.
 	InjectorFor func(run int, seed int64) sim.Injector
-	// Checkpoint, when non-empty, is a file the sweep periodically writes
-	// its per-run records to (atomically) and reads back on start: records
-	// already present are not re-executed, so an interrupted sweep resumed
-	// with the same options folds to the same report as an uninterrupted
-	// one. A checkpoint written under different options is ignored.
+	// Checkpoint, when non-empty, is the sweep's record log: the sweep
+	// appends one CRC-framed record per run, in run order, fsyncing every
+	// Runs/50 records (at least 10), and reads the log back on start.
+	// Records already present are not re-executed, so an interrupted sweep
+	// resumed with the same options folds to the same report — and leaves
+	// the same file — as an uninterrupted one. A torn tail is truncated; a
+	// log written under different options is replaced.
 	Checkpoint string
-	// CheckpointEvery saves after that many newly completed runs (default
-	// Runs/50, floored at 10 — each save re-marshals every record, so a
-	// fixed small interval would make checkpointing quadratic on large
-	// sweeps); the final state is always saved.
-	CheckpointEvery int
 	// RecordDir, when non-empty, archives every completed run as a
 	// trace/v1 file under it (run-NNNNN.trace, one frame per file, written
 	// atomically) for offline re-judging by ReplayDir. Frames are
@@ -289,10 +287,10 @@ type SweepOptions struct {
 	// ShardCount and ShardIndex restrict the sweep to one contiguous block
 	// of the seed range: with ShardCount > 1, only runs in shard ShardIndex
 	// (per harness.Shard) execute, and the report folds that block alone.
-	// Each shard writes a full-length checkpoint with nulls outside its
-	// block; MergeSweepCheckpoints folds the shard files back into the
-	// byte-identical checkpoint — and hence the identical report — a serial
-	// sweep would have produced. ShardCount <= 1 means unsharded.
+	// Each shard logs only its own block; MergeSweepCheckpoints folds the
+	// shard logs back into the byte-identical checkpoint — and hence the
+	// identical report — a serial sweep would have produced. ShardCount <= 1
+	// means unsharded.
 	ShardCount int
 	ShardIndex int
 }
@@ -355,37 +353,16 @@ func (r *SweepReport) Stat(name string) SweepStat {
 }
 
 // sweepRecord is one run's deterministic outcome — the unit of
-// checkpointing. Wall time is deliberately absent: it is not reproducible,
-// so keeping it out makes the fold of a resumed sweep bit-identical to an
-// uninterrupted one.
+// checkpointing (sweeplog.go holds its encoding). Wall time is deliberately
+// absent: it is not reproducible, so keeping it out makes the fold of a
+// resumed sweep bit-identical to an uninterrupted one.
 type sweepRecord struct {
-	Run      int               `json:"run"`
-	Seed     int64             `json:"seed"`
-	Err      *harness.RunError `json:"err,omitempty"`
-	Verdicts []Verdict         `json:"verdicts,omitempty"`
+	Run      int
+	Seed     int64
+	Err      *harness.RunError
+	Verdicts []Verdict
 	// Events is the per-detector dispatch count, indexed like dets.
-	Events []int64 `json:"events,omitempty"`
-}
-
-// sweepCheckpoint is the on-disk format: Records is indexed by run with
-// nulls for seeds not yet executed, and Fingerprint guards against resuming
-// under different options (a mismatch silently starts fresh).
-type sweepCheckpoint struct {
-	Fingerprint string         `json:"fingerprint"`
-	Records     []*sweepRecord `json:"records"`
-}
-
-func sweepFingerprint(opts SweepOptions, dets []Detector) string {
-	names := make([]string, len(dets))
-	for i, d := range dets {
-		names[i] = d.Name
-	}
-	inj := ""
-	if opts.InjectorFor != nil {
-		inj = " inject"
-	}
-	return fmt.Sprintf("sweep/v1 runs=%d base=%d prog=%s dets=%s%s",
-		opts.Runs, opts.BaseSeed, opts.Config.Name, strings.Join(names, ","), inj)
+	Events []int64
 }
 
 // Sweep runs prog under opts.Runs seeds, every listed detector attached to
@@ -400,12 +377,6 @@ func sweepFingerprint(opts SweepOptions, dets []Detector) string {
 func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = opts.Runs / 50
-		if opts.CheckpointEvery < 10 {
-			opts.CheckpointEvery = 10
-		}
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -423,19 +394,18 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 	}
 
 	records := make([]*sweepRecord, opts.Runs)
-	fp := sweepFingerprint(opts, dets)
+	var lg *sweepLog
 	if opts.Checkpoint != "" {
-		var cp sweepCheckpoint
-		if err := harness.LoadCheckpoint(opts.Checkpoint, &cp); err == nil &&
-			cp.Fingerprint == fp && len(cp.Records) == opts.Runs {
-			copy(records, cp.Records)
-		}
+		lg = openSweepLog(opts, dets, records)
 	}
-	var worklist []int
+	worklist := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if records[i] == nil {
 			worklist = append(worklist, i)
 		}
+	}
+	if lg != nil {
+		lg.order = worklist
 	}
 
 	workers := opts.Workers
@@ -446,17 +416,10 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		workers = len(worklist)
 	}
 
-	// mu guards records, the live-elapsed accumulator, and checkpoint
-	// writes; records entries are immutable once stored.
+	// mu guards records, the live-elapsed accumulator, and the log;
+	// records entries are immutable once stored.
 	var mu sync.Mutex
 	elapsed := make([]time.Duration, len(dets))
-	newDone := 0
-	saveLocked := func() {
-		snap := sweepCheckpoint{Fingerprint: fp, Records: records}
-		// A failed save costs resumability, not correctness; the sweep
-		// itself proceeds.
-		_ = harness.SaveCheckpoint(opts.Checkpoint, &snap)
-	}
 	// Each worker owns a RunPool so back-to-back seeds recycle one runtime.
 	oneRun := func(pool *sim.RunPool, i int) {
 		cfg := opts.Config
@@ -488,9 +451,8 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 				elapsed[di] += rep.Stats[di].Elapsed
 			}
 		}
-		newDone++
-		if opts.Checkpoint != "" && newDone%opts.CheckpointEvery == 0 {
-			saveLocked()
+		if lg != nil {
+			lg.advance(records)
 		}
 		mu.Unlock()
 	}
@@ -529,10 +491,10 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		close(next)
 		wg.Wait()
 	}
-	if opts.Checkpoint != "" {
-		mu.Lock()
-		saveLocked()
-		mu.Unlock()
+	if lg != nil {
+		// Every dispatched run has finished, and dispatch follows the
+		// worklist, so the log now holds every completed record.
+		lg.close(records)
 	}
 
 	return foldSweep(opts, dets, records, lo, hi, elapsed, ctx.Err())
@@ -623,71 +585,86 @@ func foldSweep(opts SweepOptions, dets []Detector, records []*sweepRecord, lo, h
 }
 
 // Structured merge failures. MergeSweepCheckpoints wraps each with the
-// offending path and details; callers classify with errors.Is — a fleet
-// scheduler treats ErrShardUnreadable as "re-fetch that shard" but
-// ErrShardOverlap/ErrShardFingerprint as partitioning bugs that no retry
-// fixes.
+// offending path and details, and errors.Is tells them apart. No caller
+// branches on them today: the CLI's -fold and the fleet's fold report the
+// wrapped error and stop, and nothing retries a shard on any of them.
 var (
-	// ErrShardUnreadable: a shard checkpoint file is missing or corrupt.
+	// ErrShardUnreadable: a shard log is missing, or is not a valid log
+	// all the way to its end — a torn tail, a flipped bit, an undecodable
+	// record, or a record out of run order or out of the seed range.
 	ErrShardUnreadable = errors.New("shard checkpoint unreadable")
-	// ErrShardFingerprint: a shard checkpoint was written under different
-	// sweep options (program, seed range, detector set, injection).
+	// ErrShardFingerprint: a shard log was written under different sweep
+	// options (program, seed range, step budget, leak threshold, detector
+	// set, fault parameters).
 	ErrShardFingerprint = errors.New("shard checkpoint fingerprint mismatch")
-	// ErrShardLength: a shard checkpoint's record slice is not the sweep's
-	// full length — it was written by a different format or a torn tool.
-	ErrShardLength = errors.New("shard checkpoint length mismatch")
-	// ErrShardOverlap: the same run appears in more than one shard
-	// checkpoint — overlapping shard ranges or a duplicated shard file.
+	// ErrShardOverlap: the same run appears in more than one shard log —
+	// overlapping shard ranges or a duplicated shard file.
 	ErrShardOverlap = errors.New("shard checkpoints overlap")
 )
 
-// MergeSweepCheckpoints folds the checkpoint files written by sharded Sweeps
-// of the same program and options back into the one report a serial sweep
-// would produce. Every source must carry the fingerprint of opts/dets and a
-// full-length record slice; records present in more than one source mean the
+// MergeSweepCheckpoints folds the logs written by sharded Sweeps of the same
+// program and options back into the one report a serial sweep would
+// produce. Every source must be a valid log to its end, carrying the
+// identity of opts/dets; records present in more than one source mean the
 // shards overlapped (a partitioning bug) and are rejected, as is the same
 // source path listed twice. Seeds no shard executed fold into Incomplete,
 // exactly as a canceled serial sweep's would. Failures wrap the ErrShard*
 // sentinels, never fold silently.
 //
-// When dst is non-empty the merged full-length checkpoint is saved there
-// first; because sweepRecords hold no wall time and the fingerprint carries
-// no shard identity, that file is byte-identical to the checkpoint an
-// uninterrupted serial sweep of the same options writes.
+// When dst is non-empty the merged log is written there first: the header,
+// then the sources' record frames in run order, copied byte for byte.
+// Records hold no wall time and the header no shard identity, so that file
+// is byte-identical to the log an uninterrupted serial sweep of the same
+// options writes.
 func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ...Detector) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
 	}
-	fp := sweepFingerprint(opts, dets)
+	ident := sweepIdentity(opts, dets)
 	records := make([]*sweepRecord, opts.Runs)
+	raws := make([][]byte, opts.Runs)
+	dec := newRecordDecoder(dets)
 	seen := make(map[string]bool, len(srcs))
 	for _, src := range srcs {
 		if seen[src] {
 			return nil, fmt.Errorf("detect: shard checkpoint %s listed twice: %w", src, ErrShardOverlap)
 		}
 		seen[src] = true
-		var cp sweepCheckpoint
-		if err := harness.LoadCheckpoint(src, &cp); err != nil {
-			return nil, fmt.Errorf("detect: reading shard checkpoint %s: %w (%w)", src, err, ErrShardUnreadable)
+		data, err := os.ReadFile(src)
+		if err != nil {
+			return nil, fmt.Errorf("detect: reading shard checkpoint: %w (%w)", err, ErrShardUnreadable)
 		}
-		if cp.Fingerprint != fp {
-			return nil, fmt.Errorf("detect: shard checkpoint %s was written under different options:\n  have %q\n  want %q\n  %w", src, cp.Fingerprint, fp, ErrShardFingerprint)
+		have, body, err := readLogHeader(data)
+		if err != nil {
+			return nil, fmt.Errorf("detect: shard checkpoint %s: %w (%w)", src, err, ErrShardUnreadable)
 		}
-		if len(cp.Records) != opts.Runs {
-			return nil, fmt.Errorf("detect: shard checkpoint %s holds %d records, want %d: %w", src, len(cp.Records), opts.Runs, ErrShardLength)
+		if have != ident {
+			return nil, fmt.Errorf("detect: shard checkpoint %s was written under different options:\n  have %q\n  want %q\n  %w", src, have, ident, ErrShardFingerprint)
 		}
-		for i, rec := range cp.Records {
-			if rec == nil {
-				continue
+		_, err = scanRecords(body, opts, dec, func(rec *sweepRecord, raw []byte) error {
+			if records[rec.Run] != nil {
+				return fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", rec.Run, src, ErrShardOverlap)
 			}
-			if records[i] != nil {
-				return nil, fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", i, src, ErrShardOverlap)
-			}
-			records[i] = rec
+			records[rec.Run], raws[rec.Run] = rec, raw
+			return nil
+		})
+		if errors.Is(err, ErrShardOverlap) {
+			return nil, err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("detect: shard checkpoint %s: %w (%w)", src, err, ErrShardUnreadable)
 		}
 	}
 	if dst != "" {
-		if err := harness.SaveCheckpoint(dst, &sweepCheckpoint{Fingerprint: fp, Records: records}); err != nil {
+		size := frame.HeaderLen + len(ident)
+		for _, raw := range raws {
+			size += len(raw)
+		}
+		out := frame.Append(make([]byte, 0, size), []byte(ident))
+		for _, raw := range raws {
+			out = append(out, raw...)
+		}
+		if err := writeFileAtomic(dst, out); err != nil {
 			return nil, err
 		}
 	}

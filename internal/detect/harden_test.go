@@ -135,7 +135,7 @@ func TestSweepCheckpointResumeFoldsIdentically(t *testing.T) {
 	baseline := Sweep(hardenProg, SweepOptions{Runs: 40, BaseSeed: 7, Workers: 1}, race)
 
 	cp := filepath.Join(t.TempDir(), "sweep.json")
-	opts := SweepOptions{Runs: 40, BaseSeed: 7, Workers: 1, Checkpoint: cp, CheckpointEvery: 5}
+	opts := SweepOptions{Runs: 40, BaseSeed: 7, Workers: 1, Checkpoint: cp}
 
 	// Leg 1: cancel after ~15 runs via a counting detector constructor.
 	ctx, cancel := context.WithCancel(context.Background())

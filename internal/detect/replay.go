@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"goconcbugs/internal/event"
-	"goconcbugs/internal/harness"
 	"goconcbugs/internal/inject"
 	"goconcbugs/internal/sim"
 	"goconcbugs/internal/trace"
@@ -67,7 +66,7 @@ func replayRun(tr *trace.Reader, dets []Detector) (*Report, error) {
 	return rep, nil
 }
 
-// traceFingerprint identifies a sweep's archive. Unlike sweepFingerprint it
+// traceFingerprint identifies a sweep's archive. Unlike sweepIdentity it
 // deliberately excludes the detector set: re-judging an old archive with
 // detectors that did not exist at record time is the point of replay, so an
 // archive is keyed only by what produced the events.
@@ -111,8 +110,7 @@ func ReplayDir(dir string, opts SweepOptions, dets ...Detector) (*SweepReport, e
 		}
 	}
 	if opts.Checkpoint != "" {
-		cp := sweepCheckpoint{Fingerprint: sweepFingerprint(opts, dets), Records: records}
-		if err := harness.SaveCheckpoint(opts.Checkpoint, &cp); err != nil {
+		if err := writeFileAtomic(opts.Checkpoint, appendLog(nil, sweepIdentity(opts, dets), records)); err != nil {
 			return nil, err
 		}
 	}

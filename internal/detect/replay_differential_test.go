@@ -46,8 +46,8 @@ func renderReplayEvent(ev *event.Event) string {
 // streamSink captures the full rendered stream of a run, live or replayed.
 type streamSink struct{ events []string }
 
-func (s *streamSink) Kinds() []event.Kind    { return event.AllKinds() }
-func (s *streamSink) Event(ev *event.Event)  { s.events = append(s.events, renderReplayEvent(ev)) }
+func (s *streamSink) Kinds() []event.Kind   { return event.AllKinds() }
+func (s *streamSink) Event(ev *event.Event) { s.events = append(s.events, renderReplayEvent(ev)) }
 
 // recordJudged runs prog through RunAll with a trace Recorder and a stream
 // capture attached, returning the single-frame archive, the live report, and

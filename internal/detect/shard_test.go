@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goconcbugs/internal/frame"
 	"goconcbugs/internal/harness"
 	"goconcbugs/internal/sim"
 )
@@ -118,9 +119,10 @@ func TestMergeSweepCheckpointsRejectsMisuse(t *testing.T) {
 
 // TestMergeSweepCheckpointsAdversarial is the structured-error contract for
 // the merge under adversarial inputs: overlapping shard ranges, a missing
-// shard file, the same shard file listed twice, wrong-length records, and
-// fingerprints from different options must all classify via the ErrShard*
-// sentinels instead of folding a wrong verdict silently.
+// shard file, the same shard file listed twice, damaged logs (torn, bit
+// flipped, reordered, out of range), and fingerprints from different
+// options must all classify via the ErrShard* sentinels instead of folding
+// a wrong verdict silently.
 func TestMergeSweepCheckpointsAdversarial(t *testing.T) {
 	dir := t.TempDir()
 	dets := shardDets()
@@ -157,23 +159,34 @@ func TestMergeSweepCheckpointsAdversarial(t *testing.T) {
 		so.Checkpoint = shortFile
 		Sweep(shardProg, so, dets...)
 	}
-	// Same Runs in the fingerprint but a truncated record slice: corrupt the
-	// honest file's records by hand.
-	tornFile := filepath.Join(dir, "torn.ck")
-	{
-		var cp sweepCheckpoint
-		if err := harness.LoadCheckpoint(half0, &cp); err != nil {
-			t.Fatal(err)
-		}
-		cp.Records = cp.Records[:4]
-		if err := harness.SaveCheckpoint(tornFile, &cp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	garbageFile := filepath.Join(dir, "garbage.ck")
-	if err := os.WriteFile(garbageFile, []byte("not json{"), 0o644); err != nil {
+	// Hand-damaged copies of the honest shard log: cut mid-record, one bit
+	// flipped in a record, two records swapped, and a record moved past
+	// the seed range. Each is a log no sweep writes, so each must be
+	// refused as unreadable rather than folded.
+	honest := readFile(t, half0)
+	_, body, err := readLogHeader(honest)
+	if err != nil {
 		t.Fatal(err)
 	}
+	hdrLen := len(honest) - len(body)
+	frames := splitFrames(t, body)
+	damaged := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	tornFile := damaged("torn.ck", honest[:len(honest)-3])
+	flipped := append([]byte(nil), honest...)
+	flipped[hdrLen+len(frames[0])+10] ^= 0x04
+	flipFile := damaged("flip.ck", flipped)
+	swapped := append([]byte(nil), honest[:hdrLen]...)
+	swapped = append(append(append(swapped, frames[1]...), frames[0]...), bytes.Join(frames[2:], nil)...)
+	swapFile := damaged("swap.ck", swapped)
+	far := &sweepRecord{Run: opts.Runs, Seed: opts.BaseSeed + int64(opts.Runs), Err: &harness.RunError{PanicValue: "x"}}
+	rangeFile := damaged("range.ck", frame.Append(append([]byte(nil), honest...), appendRecord(nil, far)))
+	garbageFile := damaged("garbage.ck", []byte("not a sweep log"))
 
 	cases := []struct {
 		name string
@@ -186,7 +199,10 @@ func TestMergeSweepCheckpointsAdversarial(t *testing.T) {
 		{"corrupt shard file", []string{garbageFile}, ErrShardUnreadable},
 		{"mismatched fingerprint (base seed)", []string{otherSeedFile}, ErrShardFingerprint},
 		{"mismatched fingerprint (runs)", []string{shortFile}, ErrShardFingerprint},
-		{"truncated record slice", []string{tornFile}, ErrShardLength},
+		{"torn tail", []string{tornFile}, ErrShardUnreadable},
+		{"bit flip in a record", []string{flipFile}, ErrShardUnreadable},
+		{"records out of run order", []string{swapFile}, ErrShardUnreadable},
+		{"record past the seed range", []string{rangeFile}, ErrShardUnreadable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -319,8 +319,8 @@ type Result struct {
 	// Sweep carries the structured fold for KindSweep jobs (per-detector
 	// wall time zeroed: it is process-local and would break determinism).
 	Sweep *detect.SweepReport `json:"sweep,omitempty"`
-	// ShardCheckpoint is the full-length shard checkpoint file an
-	// InlineShard sweep produced — exactly the bytes the same shard
+	// ShardCheckpoint is the record log an InlineShard sweep wrote,
+	// holding that shard's block only — exactly the bytes the same shard
 	// sweeping into a -resume base would have written, so a coordinator
 	// can lay the shards side by side and fold them byte-identically to a
 	// serial sweep. (JSON marshals it base64.)

@@ -198,12 +198,12 @@ func TestValidateRejectsBadJobs(t *testing.T) {
 	e := newEngine(t, Options{Workers: 1})
 	for _, job := range []Job{
 		{Kind: "bogus"},
-		{Kind: KindSweep, Kernel: "docker-abba-order"},                                              // no detectors
-		{Kind: KindSweep, Kernel: "no-such-kernel", Detectors: []string{"cycle"}},                // unknown kernel
-		{Kind: KindSweep, Kernel: "docker-abba-order", Detectors: []string{"bogus"}},                // unknown detector
-		{Kind: KindRun},                                                                             // no kernel
-		{Kind: KindSweep, Kernel: "docker-abba-order", Detectors: []string{"cycle"}, Shards: 4},  // no checkpoint
-		{Kind: KindConformance, Kernel: "docker-abba-order"},                                        // kernel on conformance
+		{Kind: KindSweep, Kernel: "docker-abba-order"},                               // no detectors
+		{Kind: KindSweep, Kernel: "no-such-kernel", Detectors: []string{"cycle"}},    // unknown kernel
+		{Kind: KindSweep, Kernel: "docker-abba-order", Detectors: []string{"bogus"}}, // unknown detector
+		{Kind: KindRun}, // no kernel
+		{Kind: KindSweep, Kernel: "docker-abba-order", Detectors: []string{"cycle"}, Shards: 4}, // no checkpoint
+		{Kind: KindConformance, Kernel: "docker-abba-order"},                                    // kernel on conformance
 	} {
 		if _, err := e.Enqueue(job); err == nil {
 			t.Errorf("job %+v validated", job)

@@ -122,7 +122,8 @@ func TestHealthEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.Workers != 2 || h.QueueCapacity <= 0 {
-		t.Fatalf("health = %+v, want ok / 2 workers / positive queue capacity", h)	}
+		t.Fatalf("health = %+v, want ok / 2 workers / positive queue capacity", h)
+	}
 	if h.UptimeSeconds < 0 {
 		t.Fatalf("uptime %v negative", h.UptimeSeconds)
 	}

@@ -137,11 +137,11 @@ const (
 type shardState struct {
 	index     int
 	state     int
-	attempts  int       // failed remote attempts so far
-	leasedAt  time.Time // newest live lease, for steal/hedge triggers
-	notBefore time.Time // backoff gate after a failure
+	attempts  int                           // failed remote attempts so far
+	leasedAt  time.Time                     // newest live lease, for steal/hedge triggers
+	notBefore time.Time                     // backoff gate after a failure
 	cancels   map[string]context.CancelFunc // live runners by daemon name
-	lastOwner string // most recent lease holder, for re-dispatch accounting
+	lastOwner string                        // most recent lease holder, for re-dispatch accounting
 	doneBy    string
 }
 

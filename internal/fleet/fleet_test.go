@@ -117,7 +117,9 @@ func (deadClient) Enqueue(ctx context.Context, job engine.Job) (string, error) {
 func (deadClient) Result(ctx context.Context, id string) (*engine.Result, error) {
 	return nil, errors.New("connection refused")
 }
-func (deadClient) Cancel(ctx context.Context, id string) error { return errors.New("connection refused") }
+func (deadClient) Cancel(ctx context.Context, id string) error {
+	return errors.New("connection refused")
+}
 func (deadClient) Health(ctx context.Context) (engine.Health, error) {
 	return engine.Health{}, errors.New("connection refused")
 }

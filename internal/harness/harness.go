@@ -3,18 +3,14 @@
 // sweep). It provides the structured error taxonomy the harnesses report
 // instead of crashing (a panic in one detector or kernel must not take down
 // a thousand-run sweep), bounded retry for flaky host-side subprocesses,
-// and atomic JSON checkpoints so an interrupted sweep resumes instead of
-// restarting.
+// and the seed-range partitioning behind sharded sweeps.
 package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"time"
 )
@@ -223,62 +219,6 @@ func Retry(ctx context.Context, attempts int, backoff time.Duration, fn func() e
 		Attempts: attempts, Backoff: backoff, Jitter: 0.5, Seed: 1,
 	}, fn)
 }
-
-// SaveCheckpoint atomically writes v as JSON to path: the bytes land in a
-// temp file in the same directory and are renamed over path, so a reader
-// (or a resume after SIGKILL) never observes a torn checkpoint.
-func SaveCheckpoint(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("harness: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: creating checkpoint temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	// Sync before the rename publishes the name: without it a power cut can
-	// leave the directory entry pointing at never-flushed bytes — exactly
-	// the torn checkpoint the temp+rename dance exists to prevent.
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("harness: writing checkpoint: %w", werr)
-		}
-		if serr != nil {
-			return fmt.Errorf("harness: syncing checkpoint: %w", serr)
-		}
-		return fmt.Errorf("harness: closing checkpoint: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: publishing checkpoint: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint into v.
-// A missing file is reported via os.IsNotExist on the returned error, which
-// resuming callers treat as "start fresh".
-func LoadCheckpoint(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("harness: decoding checkpoint %s: %w (%w)", path, err, ErrCorruptCheckpoint)
-	}
-	return nil
-}
-
-// ErrCorruptCheckpoint marks a checkpoint file that exists but does not
-// decode — a torn write from a crashed kernel or filesystem, not a missing
-// file. Callers match it with errors.Is to distinguish "start fresh" from
-// "refuse to silently discard progress".
-var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
 
 // Shard partitions n work items into count contiguous blocks and returns the
 // half-open range [lo, hi) of block index (0-based). Blocks are balanced to

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,88 +184,6 @@ func TestRetryWithCancelCutsSleep(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancellation did not cut the jittered sleep")
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	type state struct {
-		Name string  `json:"name"`
-		Done []int   `json:"done"`
-		Rate float64 `json:"rate"`
-	}
-	path := filepath.Join(t.TempDir(), "cp.json")
-	want := state{Name: "sweep", Done: []int{0, 2, 5}, Rate: 0.5}
-	if err := SaveCheckpoint(path, &want); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite must be atomic-replace, not append.
-	want.Done = append(want.Done, 7)
-	if err := SaveCheckpoint(path, &want); err != nil {
-		t.Fatal(err)
-	}
-	var got state
-	if err := LoadCheckpoint(path, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != want.Name || len(got.Done) != 4 || got.Done[3] != 7 || got.Rate != want.Rate {
-		t.Fatalf("round trip = %+v, want %+v", got, want)
-	}
-	// No temp litter left behind.
-	entries, _ := os.ReadDir(filepath.Dir(path))
-	if len(entries) != 1 {
-		t.Fatalf("checkpoint dir holds %d entries, want just the checkpoint", len(entries))
-	}
-}
-
-func TestLoadCheckpointMissingIsNotExist(t *testing.T) {
-	var v struct{}
-	err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.json"), &v)
-	if !os.IsNotExist(err) {
-		t.Fatalf("missing checkpoint yields %v, want os.IsNotExist", err)
-	}
-}
-
-func TestLoadCheckpointCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	os.WriteFile(path, []byte("{torn"), 0o644)
-	var v struct{}
-	if err := LoadCheckpoint(path, &v); err == nil || os.IsNotExist(err) {
-		t.Fatalf("corrupt checkpoint yields %v, want a decode error", err)
-	}
-}
-
-// TestLoadCheckpointTornWrite: a checkpoint truncated mid-file (the torn
-// write SaveCheckpoint's sync+rename exists to prevent, simulated here by
-// truncating a valid one) must come back as a structured
-// ErrCorruptCheckpoint — never a panic, never os.IsNotExist.
-func TestLoadCheckpointTornWrite(t *testing.T) {
-	type state struct {
-		Name string `json:"name"`
-		Done []int  `json:"done"`
-	}
-	path := filepath.Join(t.TempDir(), "cp.json")
-	if err := SaveCheckpoint(path, &state{Name: "sweep", Done: []int{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{1, len(whole) / 2, len(whole) - 1} {
-		if err := os.Truncate(path, int64(cut)); err != nil {
-			t.Fatal(err)
-		}
-		var v state
-		err := LoadCheckpoint(path, &v)
-		if err == nil {
-			t.Fatalf("checkpoint truncated to %d bytes loaded cleanly", cut)
-		}
-		if !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Fatalf("truncation to %d bytes yields %v, want ErrCorruptCheckpoint", cut, err)
-		}
-		if os.IsNotExist(err) {
-			t.Fatalf("truncated checkpoint misreported as missing: %v", err)
-		}
 	}
 }
 

@@ -24,22 +24,22 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
+
+	"goconcbugs/internal/frame"
 )
 
 const (
-	// magic identifies a store file (format store/v1).
+	// magic identifies a store file (format store/v1). Records follow it
+	// as frames (internal/frame) whose payload is a u32 key length, the
+	// key, then the value.
 	magic = "gcbstor1"
-	// recordHeader is the fixed per-record prefix: u32 payload length +
-	// u32 CRC32(payload).
-	recordHeader = 8
-	// maxRecordBytes bounds a single record; a length field beyond it is
-	// treated as corruption, not as a 4 GB allocation request.
-	maxRecordBytes = 1 << 26 // 64 MB
+	// minPayload is the shortest plausible record payload: the key length.
+	minPayload = 4
 
 	// DefaultMaxBytes is the live-value budget when Options.MaxBytes is
 	// unset.
@@ -164,21 +164,19 @@ func (s *Store) load() error {
 	off := len(magic)
 	good := off // end of the last cleanly parsed record
 	for off < len(data) {
-		if len(data)-off < recordHeader {
+		if len(data)-off < frame.HeaderLen {
 			break // torn header: a crash mid-append
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n < 4 || n > maxRecordBytes || off+recordHeader+n > len(data) {
+		payload, size, err := frame.Next(data[off:], minPayload)
+		if errors.Is(err, frame.ErrTorn) {
 			// The length field is implausible or runs past EOF. Either a
 			// torn tail or a corrupted length — record boundaries are lost
 			// from here on, so quarantine the remainder.
 			s.stats.Quarantined++
 			break
 		}
-		payload := data[off+recordHeader : off+recordHeader+n]
-		off += recordHeader + n
-		if crc32.ChecksumIEEE(payload) != sum {
+		off += size
+		if err != nil {
 			// A bit-flipped record with intact framing: skip just it and
 			// keep reading — the next read of its key will miss and
 			// recompute.
@@ -194,7 +192,7 @@ func (s *Store) load() error {
 		}
 		key := string(payload[4 : 4+kl])
 		val := append([]byte(nil), payload[4+kl:]...)
-		s.index(key, val, int64(recordHeader+n))
+		s.index(key, val, int64(size))
 		good = off
 	}
 
@@ -247,6 +245,13 @@ func (s *Store) index(key string, val []byte, size int64) {
 	s.liveBytes += size
 }
 
+// recordPayload encodes one record's frame payload: u32 key length, key,
+// value.
+func recordPayload(key string, val []byte) []byte {
+	p := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(key)+len(val)), uint32(len(key)))
+	return append(append(p, key...), val...)
+}
+
 // Get returns the value stored under key and refreshes its recency. The
 // returned slice is the store's own copy: callers must treat it as read-only
 // and decode before the entry can be evicted. The hit path performs no
@@ -276,18 +281,11 @@ func (s *Store) GetKey(k Key) ([]byte, bool) { return s.Get(k.String()) }
 // append is atomic from a reader's point of view: a crash mid-write leaves a
 // torn tail the next Open truncates.
 func (s *Store) Put(key string, val []byte) error {
-	rec := int64(recordHeader + 4 + len(key) + len(val))
+	rec := int64(frame.HeaderLen + 4 + len(key) + len(val))
 	if rec > s.opts.MaxBytes {
 		return nil
 	}
-	payload := make([]byte, 4+len(key)+len(val))
-	binary.LittleEndian.PutUint32(payload, uint32(len(key)))
-	copy(payload[4:], key)
-	copy(payload[4+len(key):], val)
-	buf := make([]byte, recordHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeader:], payload)
+	buf := frame.Append(make([]byte, 0, rec), recordPayload(key, val))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,23 +370,14 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compaction header: %w", err)
 	}
 	total := int64(len(magic))
+	var buf []byte
 	for _, c := range cands {
-		payload := make([]byte, 4+len(c.key)+len(c.e.val))
-		binary.LittleEndian.PutUint32(payload, uint32(len(c.key)))
-		copy(payload[4:], c.key)
-		copy(payload[4+len(c.key):], c.e.val)
-		hdr := make([]byte, recordHeader)
-		binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		if _, err := tmp.Write(hdr); err != nil {
+		buf = frame.Append(buf[:0], recordPayload(c.key, c.e.val))
+		if _, err := tmp.Write(buf); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compaction write: %w", err)
 		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compaction write: %w", err)
-		}
-		total += int64(len(hdr) + len(payload))
+		total += int64(len(buf))
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -86,7 +86,7 @@ func TestPersistsAcrossReopen(t *testing.T) {
 // refreshes recency — and that the counters account every eviction.
 func TestLRUEvictionOrderAndCounters(t *testing.T) {
 	t.Parallel()
-	// Each record is recordHeader(8) + keylen(4) + key(4) + val(100) = 116
+	// Each record is frame header(8) + keylen(4) + key(4) + val(100) = 116
 	// bytes; a 500-byte budget fits 4.
 	s := openT(t, filepath.Join(t.TempDir(), "v.db"), Options{MaxBytes: 500})
 	val := bytes.Repeat([]byte("x"), 100)

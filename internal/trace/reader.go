@@ -66,11 +66,11 @@ type Reader struct {
 	off int64
 	err error
 
-	inRun bool
-	meta  RunMeta
-	strs  []string
+	inRun              bool
+	meta               RunMeta
+	strs               []string
 	prevStep, prevTime int64
-	vcs [][]uint64
+	vcs                [][]uint64
 
 	// Reused event scratch state.
 	ev    event.Event
@@ -129,15 +129,15 @@ func (d *Reader) NextRun() (*RunMeta, error) {
 		return nil, d.corrupt(fmt.Sprintf("unexpected frame tag 0x%02x (want run frame 0x%02x)", tag, tagRun))
 	}
 	d.meta = RunMeta{
-		Fingerprint: d.rawString("fingerprint"),
-		Name:        d.rawString("name"),
-		Run:         int(d.uvarint("run")),
-		Runs:        int(d.uvarint("runs")),
-		BaseSeed:    d.varint("base seed"),
-		Seed:        d.varint("seed"),
-		MaxSteps:    d.varint("max steps"),
+		Fingerprint:   d.rawString("fingerprint"),
+		Name:          d.rawString("name"),
+		Run:           int(d.uvarint("run")),
+		Runs:          int(d.uvarint("runs")),
+		BaseSeed:      d.varint("base seed"),
+		Seed:          d.varint("seed"),
+		MaxSteps:      d.varint("max steps"),
 		LeakThreshold: d.varint("leak threshold"),
-		FaultPlan:   d.blob("header fault plan"),
+		FaultPlan:     d.blob("header fault plan"),
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -173,11 +173,11 @@ func (tw *Writer) BeginRun(meta RunMeta) *Recorder {
 // copied into the output during the callback, honoring package event's
 // ownership rules.
 type Recorder struct {
-	tw   *Writer
-	strs map[string]uint64 // intern table: string -> 1-based id
+	tw                 *Writer
+	strs               map[string]uint64 // intern table: string -> 1-based id
 	prevStep, prevTime int64
-	vcs   [][]uint64 // per-goroutine previously recorded clock
-	ended bool
+	vcs                [][]uint64 // per-goroutine previously recorded clock
+	ended              bool
 }
 
 // Kinds implements event.Sink: a recorder archives the full stream.
