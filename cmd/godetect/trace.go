@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"goconcbugs/internal/deadlock"
 	"goconcbugs/internal/event"
@@ -43,15 +45,20 @@ func writeChromeTrace(k kernels.Kernel, fixed bool, seed int64, path string) err
 	return cts.Err()
 }
 
+// printTrace runs the kernel once under the text trace sink and the race
+// detector. The trace is buffered because its header names the run's
+// outcome.
 func printTrace(k kernels.Kernel, fixed bool, seed int64) {
 	cfg := k.Config(seed)
-	tc := &sim.TraceCollector{}
+	var trace bytes.Buffer
 	det := race.New(0)
-	cfg.Sinks = []event.Sink{tc, det}
+	cfg.Sinks = []event.Sink{sim.NewTextTraceSink(&trace), det}
 	res := sim.Run(cfg, variant(k, fixed))
 	fmt.Printf("--- trace of %s (seed %d, outcome %v) ---\n", k.ID, seed, res.Outcome)
-	for _, e := range tc.Events() {
-		fmt.Println(" ", e)
+	for _, line := range strings.SplitAfter(trace.String(), "\n") {
+		if line != "" {
+			fmt.Print("  ", line)
+		}
 	}
 	builtin := deadlock.Builtin{}.Detect(res)
 	leak := deadlock.Leak{}.Detect(res)

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -29,12 +30,12 @@ func TestPooledMatchesFreshOnGeneratedPrograms(t *testing.T) {
 		prog, _ := simProgram(p)
 		cfg := sim.Config{Seed: seed, Name: "pool-equiv"}
 
-		run := func(pooled bool) (*sim.Result, []sim.Event, []string, []string) {
-			tr := &sim.TraceCollector{}
+		run := func(pooled bool) (*sim.Result, string, []string, []string) {
+			var tr bytes.Buffer
 			det := race.New(-1)
 			vt := vet.New()
 			c := cfg
-			c.Sinks = []event.Sink{tr, det, vt}
+			c.Sinks = []event.Sink{sim.NewTextTraceSink(&tr), det, vt}
 			var res *sim.Result
 			if pooled {
 				res = pool.Run(c, prog).Clone()
@@ -48,7 +49,7 @@ func TestPooledMatchesFreshOnGeneratedPrograms(t *testing.T) {
 			for _, v := range vt.Violations() {
 				vets = append(vets, v.String())
 			}
-			return res, tr.Events(), races, vets
+			return res, tr.String(), races, vets
 		}
 
 		fres, fev, frace, fvet := run(false)
@@ -57,14 +58,8 @@ func TestPooledMatchesFreshOnGeneratedPrograms(t *testing.T) {
 		if !reflect.DeepEqual(fres, pres) {
 			t.Errorf("seed %d: Result differs\n  fresh:  %+v\n  pooled: %+v", seed, fres, pres)
 		}
-		if len(fev) != len(pev) {
-			t.Fatalf("seed %d: trace length differs fresh=%d pooled=%d", seed, len(fev), len(pev))
-		}
-		for i := range fev {
-			if fev[i] != pev[i] {
-				t.Fatalf("seed %d: trace diverges at event %d:\n  fresh:  %s\n  pooled: %s",
-					seed, i, fev[i], pev[i])
-			}
+		if fev != pev {
+			t.Fatalf("seed %d: trace differs fresh vs pooled at %s", seed, traceDiff(fev, pev))
 		}
 		if !reflect.DeepEqual(frace, prace) {
 			t.Errorf("seed %d: race reports differ\n  fresh:  %v\n  pooled: %v", seed, frace, prace)

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"reflect"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -10,88 +9,6 @@ import (
 	"goconcbugs/internal/sim"
 	"goconcbugs/internal/vet"
 )
-
-// The adapter sinks (ObserverSink, MonitorSink) re-express the deleted
-// legacy Config hooks over the unified event stream. These differential
-// tests pin the refactor: on every kernel, buggy and fixed, the adapter
-// path must reproduce the native-sink path verdict for verdict — and the
-// run itself must be bit-identical (event-for-event equal traces) no matter
-// which sink set is attached.
-
-func raceReports(d *race.Detector) []string {
-	var out []string
-	for _, r := range d.Reports() {
-		out = append(out, r.String())
-	}
-	return out
-}
-
-func vetViolations(m *vet.Monitor) []string {
-	var out []string
-	for _, v := range m.Violations() {
-		out = append(out, v.String())
-	}
-	return out
-}
-
-func traceStrings(tc *sim.TraceCollector) []string {
-	var out []string
-	for _, e := range tc.Events() {
-		out = append(out, e.String())
-	}
-	return out
-}
-
-func TestAdapterSinksMatchNativeOnKernels(t *testing.T) {
-	for _, k := range kernels.All() {
-		k := k
-		t.Run(k.ID, func(t *testing.T) {
-			t.Parallel()
-			for _, fixed := range []bool{false, true} {
-				prog, label := k.Buggy, "buggy"
-				if fixed {
-					prog, label = k.Fixed, "fixed"
-				}
-				cfg := k.Config(1)
-
-				// Native path: the detectors consume events directly.
-				nativeRace := race.New(0)
-				nativeVet := vet.New()
-				nativeTrace := &sim.TraceCollector{}
-				nc := cfg
-				nc.Sinks = []event.Sink{nativeTrace, nativeRace, nativeVet}
-				nres := sim.Run(nc, prog)
-
-				// Adapter path: the same detectors behind the legacy-hook
-				// adapters (race.Detector is a MemoryObserver, vet.Monitor
-				// is a sim.Monitor).
-				adapterRace := race.New(0)
-				adapterVet := vet.New()
-				adapterTrace := &sim.TraceCollector{}
-				ac := cfg
-				ac.Sinks = []event.Sink{
-					adapterTrace,
-					sim.ObserverSink{Obs: adapterRace},
-					sim.MonitorSink{Mon: adapterVet},
-				}
-				ares := sim.Run(ac, prog)
-
-				if nres.Outcome != ares.Outcome {
-					t.Fatalf("%s: outcome differs native=%v adapter=%v", label, nres.Outcome, ares.Outcome)
-				}
-				if got, want := raceReports(adapterRace), raceReports(nativeRace); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: race reports differ:\n  adapter: %v\n  native:  %v", label, got, want)
-				}
-				if got, want := vetViolations(adapterVet), vetViolations(nativeVet); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: vet violations differ:\n  adapter: %v\n  native:  %v", label, got, want)
-				}
-				if got, want := traceStrings(adapterTrace), traceStrings(nativeTrace); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: traces differ (%d vs %d events) — the sink set perturbed the run", label, len(got), len(want))
-				}
-			}
-		})
-	}
-}
 
 // TestPipelineVerdictsMatchLegacyProtocolOnKernels checks the higher-level
 // claim behind Tables 8 and 12: for each study kernel, the single-pass

@@ -25,7 +25,6 @@ import (
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/hb"
-	"goconcbugs/internal/sim"
 )
 
 // DefaultShadowWords matches the Go race detector's per-object budget the
@@ -83,8 +82,8 @@ type pairKey struct {
 }
 
 // Detector observes instrumented accesses and accumulates race reports. It
-// implements sim.MemoryObserver. A Detector is single-run, single-threaded
-// state: create one per sim.Run.
+// is an event.Sink. A Detector is single-run, single-threaded state: create
+// one per sim.Run.
 type Detector struct {
 	shadowWords int
 	vars        map[int]*shadowState
@@ -108,10 +107,7 @@ func New(shadowWords int) *Detector {
 	}
 }
 
-var (
-	_ sim.MemoryObserver = (*Detector)(nil)
-	_ event.Sink         = (*Detector)(nil)
-)
+var _ event.Sink = (*Detector)(nil)
 
 // Kinds implements event.Sink: the four memory-access kinds (plain Vars and
 // MapVars), nothing else.
@@ -119,26 +115,17 @@ func (d *Detector) Kinds() []event.Kind {
 	return []event.Kind{event.MemRead, event.MemWrite, event.MapRead, event.MapWrite}
 }
 
-// Event implements event.Sink.
+// Event implements event.Sink: the FastTrack-style check of one access
+// against every stored shadow word of its variable.
 func (d *Detector) Event(ev *event.Event) {
-	d.Access(sim.MemAccess{
-		Var: ev.Var, G: ev.G, GName: ev.GName, VC: ev.VC,
-		Write: ev.Kind == event.MemWrite || ev.Kind == event.MapWrite,
-		Step:  ev.Step, Time: ev.Time,
-	})
-}
-
-// Access is the FastTrack-style check of the new access against every stored
-// shadow word. It remains exported as the sim.MemoryObserver form of Event
-// for tests and harnesses that synthesize accesses directly.
-func (d *Detector) Access(ac sim.MemAccess) {
-	st := d.vars[ac.Var.ID]
+	write := ev.Kind == event.MemWrite || ev.Kind == event.MapWrite
+	st := d.vars[ev.Var.ID]
 	if st == nil {
 		st = &shadowState{}
-		d.vars[ac.Var.ID] = st
-		d.varNames[ac.Var.ID] = ac.Var.Name
+		d.vars[ev.Var.ID] = st
+		d.varNames[ev.Var.ID] = ev.Var.Name
 	}
-	c := ac.VC.Get(ac.G)
+	c := ev.VC.Get(ev.G)
 	// Same-epoch fast path: if the previous stored access came from this
 	// goroutine at this clock value, no synchronization intervened, so the
 	// scan below cannot produce a new report — vector clocks only grow
@@ -147,37 +134,37 @@ func (d *Detector) Access(ac sim.MemAccess) {
 	// previous scan. The one asymmetric case is a write following a read:
 	// a write also races with stored reads the earlier read-check skipped,
 	// so that combination still takes the scan.
-	if ac.G == st.lastG && c == st.lastC && (st.lastWrite || !ac.Write) {
-		st.store(shadowWord{epoch: hb.Epoch{G: ac.G, C: c}, write: ac.Write}, d.shadowWords)
+	if ev.G == st.lastG && c == st.lastC && (st.lastWrite || !write) {
+		st.store(shadowWord{epoch: hb.Epoch{G: ev.G, C: c}, write: write}, d.shadowWords)
 		return
 	}
 	for _, w := range st.words {
-		if w.epoch.G == ac.G {
+		if w.epoch.G == ev.G {
 			continue // same goroutine: program order
 		}
-		if !w.write && !ac.Write {
+		if !w.write && !write {
 			continue // read/read never races
 		}
-		if ac.VC.HappensBefore(w.epoch) {
+		if ev.VC.HappensBefore(w.epoch) {
 			continue // ordered by synchronization
 		}
-		key := pairKey{varID: ac.Var.ID, gLo: min(w.epoch.G, ac.G), gHi: max(w.epoch.G, ac.G)}
+		key := pairKey{varID: ev.Var.ID, gLo: min(w.epoch.G, ev.G), gHi: max(w.epoch.G, ev.G)}
 		if d.reported[key] {
 			continue
 		}
 		d.reported[key] = true
 		d.reports = append(d.reports, Report{
-			Var:        ac.Var.Name,
+			Var:        ev.Var.Name,
 			FirstG:     w.epoch.G,
 			FirstEpoch: w.epoch,
 			FirstWrite: w.write,
-			SecondG:    ac.G,
-			SecondName: ac.GName,
-			SecondWrit: ac.Write,
-			Step:       ac.Step,
+			SecondG:    ev.G,
+			SecondName: ev.GName,
+			SecondWrit: write,
+			Step:       ev.Step,
 		})
 	}
-	st.store(shadowWord{epoch: hb.Epoch{G: ac.G, C: c}, write: ac.Write}, d.shadowWords)
+	st.store(shadowWord{epoch: hb.Epoch{G: ev.G, C: c}, write: write}, d.shadowWords)
 }
 
 // store records a new access, evicting the oldest shadow word when the

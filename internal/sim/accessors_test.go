@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"goconcbugs/internal/event"
 )
 
 // Coverage of the reporting surface: names, string forms, counters, and the
@@ -133,20 +136,15 @@ func TestStringForms(t *testing.T) {
 			t.Fatalf("BlockKind(%d) has no string", int(k))
 		}
 	}
-	ops := []SyncOp{
-		OpChanSend, OpChanRecv, OpChanClose, OpChanCloseClosed, OpChanSendClosed,
-		OpChanNil, OpSelectBlocking, OpWGAdd, OpWGDone, OpWGWaitStart,
-		OpWGWaitEnd, OpWGNegative, OpMutexLock, OpMutexUnlock, OpOnceDo,
-		OpCondWait, OpCondSignal, SyncOp(99),
-	}
-	for _, op := range ops {
-		if op.String() == "" {
-			t.Fatalf("SyncOp(%d) has no string", int(op))
-		}
-	}
-	e := Event{Step: 3, Time: 7, G: 1, GName: "main", Op: "send", Obj: "ch", Detail: "x"}
-	if !strings.Contains(e.String(), "send ch") || !strings.Contains(e.String(), "[x]") {
-		t.Fatalf("event string = %q", e.String())
+	var trace bytes.Buffer
+	ts := NewTextTraceSink(&trace)
+	ts.Event(&event.Event{Kind: event.GoBlock, Step: 3, Time: 7, G: 1, GName: "main", Obj: "ch", Detail: "x"})
+	ts.Event(&event.Event{Kind: event.GoExit, Step: 12, Time: 2000, G: 1, GName: "main"})
+	ts.RunEnd()
+	want := "step=3      t=7        g1(main) block ch [x]\n" +
+		"step=12     t=2000     g1(main) exit \n"
+	if trace.String() != want {
+		t.Fatalf("text trace = %q, want %q", trace.String(), want)
 	}
 }
 

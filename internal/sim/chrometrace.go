@@ -13,12 +13,9 @@ import (
 // sleeps — become visible at a glance.
 //
 // ChromeTraceSink streams the Trace Event Format as the run executes: each
-// event is rendered straight into a reused byte buffer (no intermediate
-// strings, no reflection-based JSON encoding) that drains to the writer
-// whenever it fills, so a run's peak memory no longer scales with its trace
-// length the way the old materialize-then-encode exporter did.
-
-const chromeFlushSize = 32 << 10
+// event is rendered straight into the shared trace buffer (no intermediate
+// strings, no reflection-based JSON encoding), so a run's peak memory does
+// not scale with its trace length.
 
 // ChromeTraceSink writes a run incrementally in the Chrome Trace Event
 // Format. Steps are used as the time axis — virtual time stalls while
@@ -26,9 +23,7 @@ const chromeFlushSize = 32 << 10
 // readable staircase of the interleaving. Check Err after the run; write
 // failures make the sink go quiet rather than disturb the simulation.
 type ChromeTraceSink struct {
-	w     io.Writer
-	buf   []byte
-	err   error
+	traceWriter
 	wrote bool   // at least one record emitted: the next needs a comma
 	named []bool // goroutine ids that already got a thread_name record
 }
@@ -36,20 +31,13 @@ type ChromeTraceSink struct {
 // NewChromeTraceSink creates a streaming sink writing to w. The JSON
 // document is completed and flushed by RunEnd.
 func NewChromeTraceSink(w io.Writer) *ChromeTraceSink {
-	s := &ChromeTraceSink{w: w, buf: make([]byte, 0, chromeFlushSize+1024)}
+	s := &ChromeTraceSink{traceWriter: newTraceWriter(w)}
 	s.buf = append(s.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
 	return s
 }
 
-// Kinds implements event.Sink: the same kinds the human-readable trace
-// renders.
-func (s *ChromeTraceSink) Kinds() []event.Kind {
-	out := make([]event.Kind, 0, len(traceKindOps))
-	for k := range traceKindOps {
-		out = append(out, k)
-	}
-	return out
-}
+// Kinds implements event.Sink: the same kinds TextTraceSink renders.
+func (s *ChromeTraceSink) Kinds() []event.Kind { return traceKinds() }
 
 // Event implements event.Sink.
 func (s *ChromeTraceSink) Event(ev *event.Event) {
@@ -63,7 +51,7 @@ func (s *ChromeTraceSink) Event(ev *event.Event) {
 	}
 	s.sep()
 	s.buf = append(s.buf, `{"name":"`...)
-	s.buf = appendJSONChars(s.buf, traceKindOps[ev.Kind])
+	s.buf = appendJSONChars(s.buf, traceOps[ev.Kind])
 	s.buf = append(s.buf, ' ')
 	s.buf = appendJSONChars(s.buf, ev.Obj)
 	s.buf = append(s.buf, `","cat":"sim","ph":"X","ts":`...)
@@ -72,44 +60,16 @@ func (s *ChromeTraceSink) Event(ev *event.Event) {
 	s.buf = strconv.AppendInt(s.buf, int64(ev.G), 10)
 	s.appendArgs(ev)
 	s.buf = append(s.buf, '}')
-	if len(s.buf) >= chromeFlushSize {
-		s.flush()
-	}
+	s.flushIfFull()
 }
 
-// appendArgs renders the args object when the event has a detail, deriving
-// the same annotations the human-readable trace shows (hand-off partners,
-// WaitGroup arithmetic) without going through fmt.
+// appendArgs renders the args object when the event has an annotation.
 func (s *ChromeTraceSink) appendArgs(ev *event.Event) {
-	open := func() { s.buf = append(s.buf, `,"args":{"detail":"`...) }
-	switch {
-	case ev.Kind == event.ChanSendDone && ev.Aux != 0:
-		open()
-		s.buf = append(s.buf, "handoff to g"...)
-		s.buf = strconv.AppendInt(s.buf, int64(ev.Aux), 10)
-	case ev.Kind == event.ChanRecvDone && ev.Aux != 0:
-		open()
-		s.buf = append(s.buf, "rendezvous with g"...)
-		s.buf = strconv.AppendInt(s.buf, int64(ev.Aux), 10)
-	case ev.Kind == event.MutexTryLock:
-		open()
-		s.buf = append(s.buf, "acquired"...)
-	case ev.Kind == event.WGAdd:
-		open()
-		if ev.Delta >= 0 {
-			s.buf = append(s.buf, '+')
-		}
-		s.buf = strconv.AppendInt(s.buf, int64(ev.Delta), 10)
-		s.buf = append(s.buf, " -> "...)
-		s.buf = strconv.AppendInt(s.buf, int64(ev.Counter), 10)
-	case ev.Kind == event.WGDone:
-		open()
-		s.buf = append(s.buf, "-> "...)
-		s.buf = strconv.AppendInt(s.buf, int64(ev.Counter), 10)
-	case ev.Detail != "":
-		open()
-		s.buf = appendJSONChars(s.buf, ev.Detail)
-	default:
+	n := len(s.buf)
+	s.buf = append(s.buf, `,"args":{"detail":"`...)
+	var ok bool
+	if s.buf, ok = appendDetail(s.buf, ev, appendJSONChars); !ok {
+		s.buf = s.buf[:n]
 		return
 	}
 	s.buf = append(s.buf, `","vtime":`...)
@@ -126,9 +86,6 @@ func (s *ChromeTraceSink) RunEnd() {
 	s.buf = append(s.buf, "]}\n"...)
 	s.flush()
 }
-
-// Err returns the first write error, if any.
-func (s *ChromeTraceSink) Err() error { return s.err }
 
 // thread emits the one-time thread_name metadata record for a goroutine row.
 func (s *ChromeTraceSink) thread(tid int, name string) {
@@ -152,16 +109,6 @@ func (s *ChromeTraceSink) sep() {
 		s.buf = append(s.buf, ',')
 	}
 	s.wrote = true
-}
-
-func (s *ChromeTraceSink) flush() {
-	if len(s.buf) == 0 {
-		return
-	}
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = err
-	}
-	s.buf = s.buf[:0]
 }
 
 // appendJSONChars appends str with JSON string escaping (quotes,

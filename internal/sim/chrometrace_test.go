@@ -75,40 +75,37 @@ func allocDuring(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestChromeTraceStreamingAllocation is the regression test for the
-// streaming export: the sink must not materialize the run, so its
-// allocations on a long trace stay bounded (and far below what buffering
-// the same trace as []Event costs).
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestChromeTraceStreamingAllocation is the regression test for streaming
+// export, run for both trace sinks: a sink must not materialize the run, so
+// on a trace of over a MB it allocates little beyond what the same run costs
+// with no sink attached.
 func TestChromeTraceStreamingAllocation(t *testing.T) {
 	cfg := Config{Seed: 1, MaxSteps: 1 << 22}
-
-	streaming := allocDuring(func() {
-		cts := NewChromeTraceSink(io.Discard)
-		c := cfg
-		c.Sinks = []event.Sink{cts}
-		Run(c, longTraceProgram)
-		if err := cts.Err(); err != nil {
-			t.Fatal(err)
+	bare := allocDuring(func() { Run(cfg, longTraceProgram) })
+	for name, newSink := range map[string]func(io.Writer) event.Sink{
+		"chrome": func(w io.Writer) event.Sink { return NewChromeTraceSink(w) },
+		"text":   func(w io.Writer) event.Sink { return NewTextTraceSink(w) },
+	} {
+		var out countingWriter
+		streaming := allocDuring(func() {
+			c := cfg
+			c.Sinks = []event.Sink{newSink(&out)}
+			Run(c, longTraceProgram)
+		})
+		if out.n < 1<<20 {
+			t.Fatalf("%s: expected a trace of over a MB, got %d bytes", name, out.n)
 		}
-	})
-	buffering := allocDuring(func() {
-		tc := &TraceCollector{}
-		c := cfg
-		c.Sinks = []event.Sink{tc}
-		res := Run(c, longTraceProgram)
-		if len(tc.Events()) < 40_000 {
-			t.Fatalf("expected a long trace, got %d events (outcome %v)", len(tc.Events()), res.Outcome)
+		if extra := int64(streaming) - int64(bare); extra > 256<<10 {
+			t.Fatalf("%s sink allocated %d bytes beyond a no-sink run for a %d-byte trace; it must not hold the trace",
+				name, extra, out.n)
 		}
-	})
-
-	// Both runs pay the same simulation cost; the difference is the trace
-	// representation. The buffered []Event for 40k+ events is several MB, so
-	// the streaming run staying within 2MB of extra allocation proves it
-	// never holds the trace.
-	if streaming > buffering {
-		t.Fatalf("streaming sink allocated more than buffering collector: %d > %d", streaming, buffering)
-	}
-	if delta := buffering - streaming; delta < 2<<20 {
-		t.Fatalf("streaming saved only %d bytes vs buffering; expected multi-MB savings", delta)
 	}
 }

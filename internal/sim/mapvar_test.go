@@ -108,10 +108,8 @@ func TestMapVarRaceDetectorSeesIt(t *testing.T) {
 	// race (the paper's traditional map races were found both ways).
 	detected := false
 	for seed := int64(0); seed < 20 && !detected; seed++ {
-		obs := &countingObserver{}
-		_ = obs
 		d := newTestDetector()
-		res := Run(Config{Seed: seed, Sinks: []event.Sink{ObserverSink{Obs: d}}}, func(tt *T) {
+		res := Run(Config{Seed: seed, Sinks: []event.Sink{d}}, func(tt *T) {
 			m := NewMapVar[int, int](tt, "m")
 			tt.Go(func(ct *T) { m.Store(ct, 1, 1) })
 			m.Store(tt, 2, 2)
@@ -126,13 +124,9 @@ func TestMapVarRaceDetectorSeesIt(t *testing.T) {
 	}
 }
 
-// countingObserver and newTestDetector provide a minimal in-package HB
-// check (the real detector lives in package race, which cannot be imported
-// here without a cycle through tests).
-type countingObserver struct{ accesses int }
-
-func (c *countingObserver) Access(MemAccess) { c.accesses++ }
-
+// testDetector is a minimal in-package map-access check (the real detector
+// lives in package race, which cannot be imported here without a cycle
+// through tests).
 type testDetector struct {
 	last  map[int]struct{ g int }
 	races int
@@ -142,9 +136,11 @@ func newTestDetector() *testDetector {
 	return &testDetector{last: map[int]struct{ g int }{}}
 }
 
-func (d *testDetector) Access(ac MemAccess) {
-	if prev, ok := d.last[ac.Var.ID]; ok && prev.g != ac.G {
+func (d *testDetector) Kinds() []event.Kind { return []event.Kind{event.MapRead, event.MapWrite} }
+
+func (d *testDetector) Event(ev *event.Event) {
+	if prev, ok := d.last[ev.Var.ID]; ok && prev.g != ev.G {
 		d.races++ // crude: any cross-goroutine touch counts for this test
 	}
-	d.last[ac.Var.ID] = struct{ g int }{g: ac.G}
+	d.last[ev.Var.ID] = struct{ g int }{g: ev.G}
 }

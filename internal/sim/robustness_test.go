@@ -98,14 +98,14 @@ func TestNegativeChooserIsClamped(t *testing.T) {
 }
 
 func TestObserverMonitorChooserTogether(t *testing.T) {
-	// Both adapter sinks plus the chooser at once must compose.
-	var accesses, events, choices int
+	// A memory-access sink, a synchronization sink and the chooser at once
+	// must compose.
+	accesses := &countSink{kinds: []event.Kind{event.MemRead, event.MemWrite}}
+	syncs := &countSink{kinds: []event.Kind{event.MutexLock, event.MutexUnlock, event.WGAdd, event.WGDone, event.WGWaitEnd}}
+	var choices int
 	res := Run(Config{
-		Seed: 1,
-		Sinks: []event.Sink{
-			ObserverSink{Obs: observerFunc(func(MemAccess) { accesses++ })},
-			MonitorSink{Mon: monitorFunc(func(SyncEvent) { events++ })},
-		},
+		Seed:  1,
+		Sinks: []event.Sink{accesses, syncs},
 		Chooser: func(n, preferred int) int {
 			choices++
 			return n - 1
@@ -128,18 +128,20 @@ func TestObserverMonitorChooserTogether(t *testing.T) {
 	if res.Failed() {
 		t.Fatalf("failed: %+v", res.CheckFailures)
 	}
-	if accesses == 0 || events == 0 || choices == 0 {
-		t.Fatalf("hooks unused: accesses=%d events=%d choices=%d", accesses, events, choices)
+	if accesses.n == 0 || syncs.n == 0 || choices == 0 {
+		t.Fatalf("hooks unused: accesses=%d syncs=%d choices=%d", accesses.n, syncs.n, choices)
 	}
 }
 
-type observerFunc func(MemAccess)
+// countSink counts the events of the kinds it subscribes to.
+type countSink struct {
+	kinds []event.Kind
+	n     int
+}
 
-func (f observerFunc) Access(ac MemAccess) { f(ac) }
+func (c *countSink) Kinds() []event.Kind { return c.kinds }
 
-type monitorFunc func(SyncEvent)
-
-func (f monitorFunc) SyncEvent(ev SyncEvent) { f(ev) }
+func (c *countSink) Event(*event.Event) { c.n++ }
 
 func TestManyGoroutines(t *testing.T) {
 	const n = 200

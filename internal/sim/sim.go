@@ -23,10 +23,9 @@
 // operations, goroutine lifecycle, scheduler picks — is emitted as one
 // typed event (package event) to the sinks attached via Config.Sinks. The
 // race detector (package race), the rule checker (package vet), the DPOR
-// footprint collector (package explore), the execution tracer
-// (TraceCollector), and the Chrome-trace exporter (ChromeTraceSink) are all
-// sinks over that single stream, so any set of them shares one instrumented
-// run. The built-in deadlock detector model and the goroutine-leak detector
+// footprint collector (package explore), the text tracer (TextTraceSink),
+// and the Chrome-trace exporter (ChromeTraceSink) are all sinks over that
+// single stream, so any set of them shares one instrumented run. The built-in deadlock detector model and the goroutine-leak detector
 // (package deadlock) interpret the Result. A Chooser hook replaces random
 // scheduling with enumerable decisions (package explore's systematic mode).
 // Beyond the standard primitives, Semaphore models the buffered-channel
@@ -86,9 +85,7 @@ type Config struct {
 	// lifecycle transition, and scheduler step. Detectors, tracers, and
 	// schedule observers all attach here; any number share the single
 	// instrumented pass. Sinks with an empty or disjoint Kinds() set cost
-	// nothing at the emission sites they skip. Use ObserverSink,
-	// MonitorSink, and DPORSink to adapt the historical observer
-	// interfaces.
+	// nothing at the emission sites they skip.
 	Sinks []event.Sink
 	// Chooser, when non-nil, replaces the seeded random source for
 	// *scheduling* decisions — which runnable goroutine runs next and

@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -25,12 +26,12 @@ func diffOne(t *testing.T, pool *sim.RunPool, label string, cfg sim.Config, prog
 	injFor func() sim.Injector) {
 	t.Helper()
 
-	run := func(pooled bool) (*sim.Result, *sim.TraceCollector, *race.Detector, *vet.Monitor) {
-		tr := &sim.TraceCollector{}
+	run := func(pooled bool) (*sim.Result, *strings.Builder, *race.Detector, *vet.Monitor) {
+		tr := &strings.Builder{}
 		det := race.New(-1)
 		vt := vet.New()
 		c := cfg
-		c.Sinks = []event.Sink{tr, det, vt}
+		c.Sinks = []event.Sink{sim.NewTextTraceSink(tr), det, vt}
 		if injFor != nil {
 			c.Injector = injFor()
 		}
@@ -46,7 +47,7 @@ func diffOne(t *testing.T, pool *sim.RunPool, label string, cfg sim.Config, prog
 	if !reflect.DeepEqual(fres, pres) {
 		t.Errorf("%s: Result differs\n  fresh:  %+v\n  pooled: %+v", label, fres, pres)
 	}
-	fe, pe := ftr.Events(), ptr.Events()
+	fe, pe := strings.Split(ftr.String(), "\n"), strings.Split(ptr.String(), "\n")
 	if len(fe) != len(pe) {
 		t.Fatalf("%s: trace length differs fresh=%d pooled=%d", label, len(fe), len(pe))
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -328,9 +329,9 @@ func TestPipeRoundTripAndClose(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() (*Result, []Event) {
-		tc := &TraceCollector{}
-		res := Run(Config{Seed: 99, Sinks: []event.Sink{tc}}, func(tt *T) {
+	run := func() (*Result, string) {
+		var trace strings.Builder
+		res := Run(Config{Seed: 99, Sinks: []event.Sink{NewTextTraceSink(&trace)}}, func(tt *T) {
 			ch := NewChan[int](tt, 1)
 			wg := NewWaitGroup(tt, "wg")
 			wg.Add(tt, 3)
@@ -347,17 +348,15 @@ func TestDeterminism(t *testing.T) {
 			}
 			wg.Wait(tt)
 		})
-		return res, tc.Events()
+		return res, trace.String()
 	}
 	a, aTrace := run()
 	b, bTrace := run()
-	if a.Steps != b.Steps || len(aTrace) != len(bTrace) {
+	if a.Steps != b.Steps {
 		t.Fatalf("non-deterministic: steps %d vs %d", a.Steps, b.Steps)
 	}
-	for i := range aTrace {
-		if aTrace[i] != bTrace[i] {
-			t.Fatalf("trace diverges at %d: %v vs %v", i, aTrace[i], bTrace[i])
-		}
+	if aTrace != bTrace {
+		t.Fatalf("non-deterministic trace:\n%s\nvs\n%s", aTrace, bTrace)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"goconcbugs/internal/event"
-	"goconcbugs/internal/hb"
 )
 
 // Instrumented shared variables. Every Load/Store emits a MemRead/MemWrite
@@ -15,25 +14,6 @@ import (
 
 // VarMeta identifies an instrumented variable in access reports.
 type VarMeta = event.VarMeta
-
-// MemAccess describes one instrumented access. VC is the accessing
-// goroutine's live clock: observers must treat it as read-only and must not
-// retain it across calls (clone if needed).
-type MemAccess struct {
-	Var   *VarMeta
-	G     int
-	GName string
-	VC    hb.VC
-	Write bool
-	Step  int64
-	Time  int64
-}
-
-// MemoryObserver receives every instrumented access; the race detector
-// implements it.
-type MemoryObserver interface {
-	Access(ac MemAccess)
-}
 
 // Var is an instrumented, unsynchronized shared variable of type V —
 // the moral equivalent of a plain Go variable shared across goroutines.

@@ -97,45 +97,16 @@ func New() *Monitor {
 	}
 }
 
-var (
-	_ sim.Monitor = (*Monitor)(nil)
-	_ event.Sink  = (*Monitor)(nil)
-)
-
-// vetKindOps maps the subscribed event kinds onto the SyncOp vocabulary the
-// rule logic dispatches on.
-var vetKindOps = map[event.Kind]sim.SyncOp{
-	event.ChanSend:        sim.OpChanSend,
-	event.ChanRecv:        sim.OpChanRecv,
-	event.ChanCloseClosed: sim.OpChanCloseClosed,
-	event.ChanSendClosed:  sim.OpChanSendClosed,
-	event.ChanNil:         sim.OpChanNil,
-	event.SelectBlocking:  sim.OpSelectBlocking,
-	event.WGAdd:           sim.OpWGAdd,
-	event.WGNegative:      sim.OpWGNegative,
-	event.WGWaitStart:     sim.OpWGWaitStart,
-	event.WGWaitEnd:       sim.OpWGWaitEnd,
-}
+var _ event.Sink = (*Monitor)(nil)
 
 // Kinds implements event.Sink: only the rule-relevant kinds, so a vetted
 // run pays nothing for memory accesses, lock traffic, or scheduling events.
 func (m *Monitor) Kinds() []event.Kind {
-	out := make([]event.Kind, 0, len(vetKindOps))
-	for k := range vetKindOps {
-		out = append(out, k)
+	return []event.Kind{
+		event.ChanSend, event.ChanRecv, event.ChanCloseClosed, event.ChanSendClosed,
+		event.ChanNil, event.SelectBlocking,
+		event.WGAdd, event.WGNegative, event.WGWaitStart, event.WGWaitEnd,
 	}
-	return out
-}
-
-// Event implements event.Sink by translating the event into the SyncEvent
-// vocabulary the rule logic consumes. The live VC and HeldLocks slices are
-// only read during the call (SyncEvent clones what it retains).
-func (m *Monitor) Event(ev *event.Event) {
-	m.SyncEvent(sim.SyncEvent{
-		Op: vetKindOps[ev.Kind], G: ev.G, GName: ev.GName, Obj: ev.Obj,
-		VC: ev.VC, Counter: ev.Counter, Delta: ev.Delta,
-		HeldLocks: ev.HeldLocks, Step: ev.Step,
-	})
 }
 
 // Violations returns everything found, in detection order.
@@ -173,7 +144,7 @@ func (m *Monitor) HasRule(r Rule) bool {
 	return false
 }
 
-func (m *Monitor) report(ev sim.SyncEvent, rule Rule, warning bool, format string, args ...any) {
+func (m *Monitor) report(ev *event.Event, rule Rule, warning bool, format string, args ...any) {
 	key := string(rule) + "/" + ev.Obj + "/" + fmt.Sprint(ev.G)
 	if m.reported[key] {
 		return
@@ -185,22 +156,24 @@ func (m *Monitor) report(ev sim.SyncEvent, rule Rule, warning bool, format strin
 	})
 }
 
-// SyncEvent implements sim.Monitor.
-func (m *Monitor) SyncEvent(ev sim.SyncEvent) {
-	switch ev.Op {
-	case sim.OpChanCloseClosed:
+// Event implements event.Sink: the rule checks for one event. The live VC
+// and HeldLocks slices are only read during the call; a Wait's clock is
+// cloned before it is retained.
+func (m *Monitor) Event(ev *event.Event) {
+	switch ev.Kind {
+	case event.ChanCloseClosed:
 		m.report(ev, RuleDoubleClose, false, "channel closed twice")
-	case sim.OpChanSendClosed:
+	case event.ChanSendClosed:
 		m.report(ev, RuleSendOnClosed, false, "send on closed channel")
-	case sim.OpChanNil:
+	case event.ChanNil:
 		m.report(ev, RuleNilChannel, false, "operation on nil channel blocks forever")
-	case sim.OpWGNegative:
+	case event.WGNegative:
 		m.report(ev, RuleNegativeWaitGroup, false, "counter dropped to %d", ev.Counter)
-	case sim.OpWGWaitStart:
+	case event.WGWaitStart:
 		rec := &waitRecord{}
 		m.waits[ev.Obj] = append(m.waits[ev.Obj], rec)
 		m.openWait[ev.Obj] = append(m.openWait[ev.Obj], rec)
-	case sim.OpWGWaitEnd:
+	case event.WGWaitEnd:
 		open := m.openWait[ev.Obj]
 		if len(open) > 0 {
 			rec := open[len(open)-1]
@@ -208,7 +181,7 @@ func (m *Monitor) SyncEvent(ev sim.SyncEvent) {
 			rec.endVC = ev.VC.Clone()
 			m.openWait[ev.Obj] = open[:len(open)-1]
 		}
-	case sim.OpWGAdd:
+	case event.WGAdd:
 		if ev.Delta <= 0 {
 			return
 		}
@@ -229,7 +202,7 @@ func (m *Monitor) SyncEvent(ev sim.SyncEvent) {
 				return
 			}
 		}
-	case sim.OpChanSend, sim.OpChanRecv, sim.OpSelectBlocking:
+	case event.ChanSend, event.ChanRecv, event.SelectBlocking:
 		if len(ev.HeldLocks) > 0 {
 			m.report(ev, RuleChanInCritical, true,
 				"potentially blocking channel operation while holding %v (the Figure 7 pattern)", ev.HeldLocks)
