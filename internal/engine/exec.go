@@ -221,12 +221,21 @@ func (e *Engine) execRun(ctx context.Context, job Job) (*Result, error) {
 			fmt.Fprintf(&b, "    replay: %s\n", cmd)
 		}
 	}
+	vetDone, vetPanics := job.Runs, 0
 	if job.Vet {
-		renderVet(&b, job, r)
+		vetDone, vetPanics = renderVet(ctx, &b, job, r)
 	}
 
 	var verdict harness.Verdict
 	switch {
+	case vetDone < job.Runs:
+		// A cut vet pass leaves its findings partial, so the result must
+		// not be Confirmed (and cached) on the sampling pass alone.
+		reason := harness.ReasonPanic
+		if vetPanics == 0 {
+			reason = harness.CtxReason(ctx.Err())
+		}
+		verdict = harness.Incompletef(reason, "vet: %d of %d runs incomplete", job.Runs-vetDone, job.Runs)
 	case fired:
 		verdict = harness.Verdict{Status: harness.Confirmed}
 	case st.Completed == st.Runs:
@@ -244,18 +253,29 @@ func (e *Engine) execRun(ctx context.Context, job Job) (*Result, error) {
 }
 
 // renderVet sweeps the same seeds under the usage-rule checker and appends
-// the distinct findings in sorted (deterministic) order.
-func renderVet(b *strings.Builder, job Job, r resolved) {
+// the distinct findings in sorted (deterministic) order. Each seed runs
+// under harness.Capture, and the pass stops once ctx ends. It returns how
+// many seeds completed and how many host-panicked.
+func renderVet(ctx context.Context, b *strings.Builder, job Job, r resolved) (done, panics int) {
 	distinct := map[string]bool{}
-	for i := 0; i < job.Runs; i++ {
-		m, _ := vet.Check(r.cfgFor(job.Seed+int64(i)), r.prog)
+	for i := 0; i < job.Runs && ctx.Err() == nil; i++ {
+		seed := job.Seed + int64(i)
+		var m *vet.Monitor
+		if harness.Capture(i, seed, func() { m, _ = vet.Check(r.cfgFor(seed), r.prog) }) != nil {
+			panics++
+			continue
+		}
+		done++
 		for _, v := range m.Violations() {
 			distinct[v.String()] = true
 		}
 	}
+	if done < job.Runs {
+		fmt.Fprintf(b, "    vet incomplete: %d/%d runs completed (%d host panics)\n", done, job.Runs, panics)
+	}
 	if len(distinct) == 0 {
 		fmt.Fprintln(b, "    vet: no rule violations")
-		return
+		return done, panics
 	}
 	findings := make([]string, 0, len(distinct))
 	for v := range distinct {
@@ -265,6 +285,7 @@ func renderVet(b *strings.Builder, job Job, r resolved) {
 	for _, v := range findings {
 		fmt.Fprintf(b, "    %s\n", v)
 	}
+	return done, panics
 }
 
 // execSystematic exhaustively explores the schedule space, optionally with

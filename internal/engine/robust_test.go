@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"goconcbugs/internal/harness"
+	"goconcbugs/internal/sim"
 )
 
 // TestClientTimeouts is the stalled-daemon table: a server that accepts the
@@ -321,5 +323,70 @@ func TestInlineShardValidation(t *testing.T) {
 	good.normalize()
 	if err := good.Validate(); err != nil {
 		t.Errorf("good inline shard job rejected: %v", err)
+	}
+}
+
+// panicOnSomeSeeds host-panics (a raw Go panic, not a simulated one) on a
+// seed-dependent subset of runs.
+func panicOnSomeSeeds(tt *sim.T) {
+	if tt.Rand(3) == 0 {
+		panic("host-side bug in the program")
+	}
+}
+
+// TestRunVetSurvivesHostPanics: a KindRun job whose program host-panics on
+// some seeds must come back Incomplete, with or without the vet pass — the
+// vet pass isolates each seed instead of panicking out of the worker — and
+// neither result may be cached.
+func TestRunVetSurvivesHostPanics(t *testing.T) {
+	st := newStore(t)
+	e := newEngine(t, Options{Workers: 1, SweepWorkers: 1, Store: st})
+	cfgFor := func(seed int64) sim.Config { return sim.Config{Seed: seed} }
+	for _, vet := range []bool{false, true} {
+		job := Job{Kind: KindRun, Runs: 20, Seed: 1, Vet: vet}
+		res, err := e.SubmitProgram(context.Background(), job, "host-panic", panicOnSomeSeeds, cfgFor)
+		if err != nil {
+			t.Fatalf("vet=%v: %v", vet, err)
+		}
+		if res.Verdict.Status != harness.Incomplete || res.Verdict.Reason != harness.ReasonPanic {
+			t.Errorf("vet=%v: verdict %v, want incomplete (panic)", vet, res.Verdict)
+		}
+	}
+	if st.Len() != 0 {
+		t.Fatalf("%d incomplete results cached", st.Len())
+	}
+}
+
+// TestRunVetStopsWhenContextEnds: a context that ends during the vet pass
+// stops it at the next seed and yields an Incomplete verdict that is not
+// cached, even though the sampling pass completed.
+func TestRunVetStopsWhenContextEnds(t *testing.T) {
+	const runs = 20
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := newStore(t)
+	e := newEngine(t, Options{Workers: 1, SweepWorkers: 1, Store: st, Context: ctx})
+	var calls atomic.Int32
+	prog := func(tt *sim.T) {
+		if calls.Add(1) == runs+3 { // the third seed of the vet pass
+			cancel()
+		}
+	}
+	cfgFor := func(seed int64) sim.Config { return sim.Config{Seed: seed} }
+	res, err := e.SubmitProgram(context.Background(), Job{Kind: KindRun, Runs: runs, Seed: 1, Vet: true}, "cut-vet", prog, cfgFor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict.Status != harness.Incomplete || res.Verdict.Reason != harness.ReasonCanceled {
+		t.Errorf("verdict %v, want incomplete (canceled)", res.Verdict)
+	}
+	if got := calls.Load(); got != runs+3 {
+		t.Errorf("program ran %d times; the vet pass must stop after the seed that saw the cancel (want %d)", got, runs+3)
+	}
+	if !strings.Contains(res.Text, "vet incomplete: 3/20 runs completed (0 host panics)") {
+		t.Errorf("text lacks the cut vet pass:\n%s", res.Text)
+	}
+	if st.Len() != 0 {
+		t.Fatalf("%d incomplete results cached", st.Len())
 	}
 }
