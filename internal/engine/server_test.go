@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -124,5 +126,38 @@ func TestDaemonRejectsInvalidJob(t *testing.T) {
 	_, err := c.Submit(context.Background(), Job{Kind: KindSweep, Kernel: "no-such-kernel", Detectors: []string{"cycle"}})
 	if err == nil {
 		t.Fatal("invalid job accepted")
+	}
+}
+
+// Oversized seed ranges, program counts and shard counts are refused at the
+// API boundary with 400: each would otherwise size a slice on an engine
+// worker and panic, taking the daemon down with it.
+func TestDaemonRejectsOversizedJobs(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "d.sock")
+	c, _ := startServer(t, sock)
+	huge := "4611686018427387904" // 1<<62
+	for _, body := range []string{
+		`{"kind":"sweep","kernel":"docker-abba-order","detectors":["cycle"],"runs":` + huge + `}`,
+		`{"kind":"run","kernel":"docker-abba-order","runs":` + huge + `}`,
+		`{"kind":"conformance","programs":` + huge + `}`,
+		`{"kind":"sweep","kernel":"docker-abba-order","detectors":["cycle"],"fold":true,"checkpoint":"` +
+			filepath.Join(t.TempDir(), "cp") + `","shards":` + huge + `}`,
+	} {
+		resp, err := c.hc.Post(c.base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp, err := c.hc.Get(c.base + "/v1/health")
+	if err != nil {
+		t.Fatalf("daemon gone after oversized jobs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("health after oversized jobs: HTTP %d, want 200", resp.StatusCode)
 	}
 }
