@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -126,15 +127,23 @@ type statusView struct {
 	State string `json:"state"`
 }
 
+// decodeJob reads a submitted job strictly: an unknown field is an error,
+// so a misspelled option fails the request instead of silently defaulting.
+func decodeJob(r io.Reader) (Job, error) {
+	var job Job
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&job)
+	return job, err
+}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST /v1/jobs"))
 		return
 	}
-	var job Job
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
+	job, err := decodeJob(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job: %w", err))
 		return
 	}
