@@ -115,19 +115,6 @@ type dporNode struct {
 	// Ready-select state.
 	isSelect bool
 	ncases   int
-
-	// Memoization state (see memo.go). hash canonically identifies the
-	// program state at node entry; baseline snapshots the search's unquiet
-	// run count at creation (a store is only sound when it never moved);
-	// summary accumulates the subtree's object footprint; covered marks a
-	// node whose remaining branches are pruned by a memo hit (or that sits
-	// inside a pruned region); tainted marks a node some run through which
-	// consulted T.Rand.
-	hash     memoKey
-	baseline int
-	summary  nodeSummary
-	covered  bool
-	tainted  bool
 }
 
 // valueFor maps a goroutine id to the decision value selecting it at this
@@ -232,12 +219,6 @@ type dporSearch struct {
 	opts  SystematicOptions
 	nodes []*dporNode // current DFS path, position == chooser index
 	res   *SystematicResult
-	// memo is the cross-run state table (nil = memoization off);
-	// unquietRuns counts runs that failed, errored, truncated at the
-	// decision horizon, or drew program randomness — a node's subtree is
-	// storable only if the counter never moved past its baseline.
-	memo        *MemoTable
-	unquietRuns int
 }
 
 // systematicDPOR is the Reduction entry point, called from Systematic.
@@ -248,13 +229,6 @@ func systematicDPOR(prog sim.Program, opts SystematicOptions) *SystematicResult 
 	}
 	s := &dporSearch{opts: opts, res: &SystematicResult{}}
 	cfg := opts.Config
-	if opts.Memo != nil && cfg.Injector == nil {
-		// A fault injector is stateful in consultation order, so program
-		// state is not a function of the dependence trace; memoization
-		// silently disables itself rather than prune unsoundly.
-		s.memo = opts.Memo
-		s.memo.bind(fmt.Sprintf("memo/v1 prog=%s seed=%d", cfg.Name, cfg.Seed))
-	}
 	rec := &dporRecorder{}
 	// Full slice expression: don't grow a caller-owned backing array.
 	cfg.Sinks = append(cfg.Sinks[:len(cfg.Sinks):len(cfg.Sinks)], rec)
@@ -293,12 +267,6 @@ func systematicDPOR(prog sim.Program, opts SystematicOptions) *SystematicResult 
 			}
 		}
 		s.processRun(rec, chosen, r)
-		// Quietness accounting happens after processRun so nodes created by
-		// this run snapshot the pre-run counter: an unquiet creating run
-		// then blocks its own nodes from ever being stored.
-		if runErr != nil || r.Failed() || len(chosen) >= opts.MaxChoices || r.RandDraws > 0 {
-			s.unquietRuns++
-		}
 		next, ok := s.advance()
 		if !ok {
 			s.res.Complete = true
@@ -316,9 +284,6 @@ func systematicDPOR(prog sim.Program, opts SystematicOptions) *SystematicResult 
 func (s *dporSearch) frontier() int {
 	total := 0
 	for _, n := range s.nodes {
-		if n.covered {
-			continue // resolved by a memo hit: nothing left to explore
-		}
 		if n.isSelect {
 			total += n.ncases - 1 - n.curVal
 			continue
@@ -343,47 +308,17 @@ func (s *dporSearch) processRun(rec *dporRecorder, chosen []int, r *sim.Result) 
 	var sleep []sleepEntry
 	selIdx := 0
 
-	// Memoization walk state: the incremental canonical prefix hash, each
-	// step's per-goroutine index (canonical step identity for dependence
-	// edges), and whether this run consulted program randomness — which
-	// taints every node on its path against memo store and hit (the drawn
-	// values depend on the concrete interleaving, not just the trace).
-	var acc stateHash
-	gIdxs := make([]int, len(rec.steps))
-	perG := map[int]int{}
-	runTainted := s.memo != nil && (r == nil || r.RandDraws > 0)
-	if runTainted {
-		for _, n := range s.nodes {
-			n.tainted = true
-		}
-	}
-
 	for j := range rec.steps {
 		st := &rec.steps[j]
-		gIdxs[j] = perG[st.g]
-		perG[st.g]++
 		var node *dporNode
 		if st.decision >= 0 && st.decision < horizon {
-			node = s.ensureNode(st, chosen, sleep, acc.key(), runTainted)
+			node = s.ensureNode(st, chosen, sleep)
 		}
 		if st.hasSelect {
 			sp := rec.selects[selIdx]
 			selIdx++
 			if sp.dec < horizon {
-				// A ready-select point is mid-transition: distinguish its
-				// state from the owning pick node's by folding the deciding
-				// goroutine into the hash.
-				selKey := acc
-				selKey.addStep(splitmix64(uint64(st.g) ^ 0x73e1_5c2d_91af_04b3))
-				s.ensureSelectNode(sp, chosen, selKey.key(), runTainted)
-			}
-		}
-		if s.memo != nil {
-			// Accumulate the step into every open node's footprint summary.
-			// Early-path steps land in deeper nodes' summaries too — an
-			// over-approximation, which only ever plants extra backtracks.
-			for _, n := range s.nodes {
-				n.summary.add(st.ops, st.g)
+				s.ensureSelectNode(sp, chosen)
 			}
 		}
 
@@ -417,7 +352,6 @@ func (s *dporSearch) processRun(rec *dporRecorder, chosen []int, r *sim.Result) 
 				c = hb.New()
 			}
 		}
-		var edgeSum uint64
 		for _, op := range st.ops {
 			if op.Class == sim.ObjSpawn {
 				continue
@@ -428,23 +362,15 @@ func (s *dporSearch) processRun(rec *dporRecorder, chosen []int, r *sim.Result) 
 			}
 			if rec2.lastWrite != nil {
 				s.race(&c, rec2.lastWrite, st, rec.steps)
-				edgeSum += edgeHash(rec2.lastWrite.gid, gIdxs[rec2.lastWrite.step])
 			}
 			if op.Write {
 				for i := range rec2.reads {
 					s.race(&c, &rec2.reads[i], st, rec.steps)
-					edgeSum += edgeHash(rec2.reads[i].gid, gIdxs[rec2.reads[i].step])
 				}
 			}
 		}
 		c.Set(st.g, uint64(j)+1)
 		clocks[st.g] = c
-		// Fold the completed step into the canonical prefix hash: its own
-		// content plus the commutative sum of its dependence edges. The
-		// per-step contributions also combine commutatively, so any
-		// interleaving of the same Mazurkiewicz trace accumulates the same
-		// 128-bit key.
-		acc.addStep(stepPreHash(st.g, gIdxs[j], st.ops, edgeSum))
 
 		// Record this step's accesses with its finalized clock; a spawn
 		// roots the child's clock in this transition (the fork edge).
@@ -554,7 +480,7 @@ func (s *dporSearch) race(c *hb.VC, prior *access, st *recStep, steps []recStep)
 // ensureNode returns the pick node at st.decision, creating it when the run
 // has descended past the known path. Existing nodes must replay identically:
 // the decisions above them are fixed and the sim is deterministic.
-func (s *dporSearch) ensureNode(st *recStep, chosen []int, sleep []sleepEntry, hash memoKey, tainted bool) *dporNode {
+func (s *dporSearch) ensureNode(st *recStep, chosen []int, sleep []sleepEntry) *dporNode {
 	idx := st.decision
 	if idx < len(s.nodes) {
 		n := s.nodes[idx]
@@ -563,7 +489,6 @@ func (s *dporSearch) ensureNode(st *recStep, chosen []int, sleep []sleepEntry, h
 		}
 		n.curOps = append(n.curOps[:0], st.ops...)
 		n.curHasSel = st.hasSelect
-		n.tainted = n.tainted || tainted
 		return n
 	}
 	if idx != len(s.nodes) {
@@ -581,102 +506,24 @@ func (s *dporSearch) ensureNode(st *recStep, chosen []int, sleep []sleepEntry, h
 		done:         map[int]bool{},
 		sleepAtEntry: append([]sleepEntry(nil), sleep...),
 	}
-	s.initMemoNode(n, hash, tainted)
 	s.nodes = append(s.nodes, n)
 	return n
 }
 
 // ensureSelectNode materializes the decision node for a ready select.
-func (s *dporSearch) ensureSelectNode(sp selPoint, chosen []int, hash memoKey, tainted bool) {
+func (s *dporSearch) ensureSelectNode(sp selPoint, chosen []int) {
 	if sp.dec < len(s.nodes) {
-		n := s.nodes[sp.dec]
-		if !n.isSelect {
+		if !s.nodes[sp.dec].isSelect {
 			panic(fmt.Sprintf("explore: dpor: decision %d is a pick on the path but replayed as a select", sp.dec))
 		}
-		n.tainted = n.tainted || tainted
 		return
 	}
 	if sp.dec != len(s.nodes) {
 		panic(fmt.Sprintf("explore: dpor: non-dense select index %d with %d nodes", sp.dec, len(s.nodes)))
 	}
-	n := &dporNode{
+	s.nodes = append(s.nodes, &dporNode{
 		idx: sp.dec, isSelect: true, ncases: sp.ncases, curVal: chosen[sp.dec],
-	}
-	s.initMemoNode(n, hash, tainted)
-	s.nodes = append(s.nodes, n)
-}
-
-// initMemoNode seeds a fresh node's memoization state: its canonical entry
-// hash, the quietness baseline, taint and coverage inheritance, and — the
-// payoff — the table lookup that prunes the node on a hit.
-func (s *dporSearch) initMemoNode(n *dporNode, hash memoKey, tainted bool) {
-	if s.memo == nil {
-		return
-	}
-	n.hash = hash
-	n.baseline = s.unquietRuns
-	n.tainted = tainted
-	for _, m := range s.nodes {
-		if m.covered {
-			// Inside a region already pruned by an ancestor's hit: nothing
-			// to explore here, nothing sound to store.
-			n.covered = true
-			return
-		}
-	}
-	if !tainted {
-		s.tryMemoHit(n)
-	}
-}
-
-// tryMemoHit looks the node's entry state up in the memo table; on a hit the
-// node's remaining branches are pruned and the stored subtree footprint
-// conservatively replants the backtracks its exploration would have caused
-// at the current path's nodes.
-func (s *dporSearch) tryMemoHit(n *dporNode) bool {
-	objs, ok := s.memo.lookup(n.hash)
-	if !ok {
-		return false
-	}
-	n.covered = true
-	s.res.PrefixesDeduped++
-	for _, m := range s.nodes {
-		if m.idx >= n.idx {
-			break
-		}
-		if m.isSelect {
-			continue
-		}
-		for _, op := range m.curOps {
-			for oi := range objs {
-				o := &objs[oi]
-				if op.Class != o.Class || op.ID != o.ID || (!op.Write && !o.Write) {
-					continue
-				}
-				// The subtree's accesses to this object would have raced
-				// with the transition scheduled at m: request the same
-				// backtracks its exploration would have, without clocks
-				// (over-approximate, never under).
-				for _, g := range o.Gids {
-					in := false
-					for _, opt := range m.optionGs {
-						if opt == g {
-							in = true
-							break
-						}
-					}
-					if in {
-						m.backtrack[g] = true
-					} else {
-						for _, opt := range m.optionGs {
-							m.backtrack[opt] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return true
+	})
 }
 
 // sleepHolds reports whether gid's pending transition is asleep.
@@ -695,25 +542,12 @@ func sleepHolds(entries []sleepEntry, gid int) bool {
 func (s *dporSearch) advance() ([]int, bool) {
 	for d := len(s.nodes) - 1; d >= 0; d-- {
 		n := s.nodes[d]
-		// A node whose entry state was pruned by a memo hit — at creation,
-		// or right now against an entry stored since — has every remaining
-		// branch equivalent to a subtree some search already exhausted
-		// failure-free.
-		if n.covered || (s.memo != nil && !n.tainted && s.tryMemoHit(n)) {
-			if n.isSelect {
-				s.res.SchedulesPruned += n.ncases - 1 - n.curVal
-			} else {
-				s.res.SchedulesPruned += len(n.optionGs) - n.executed
-			}
-			continue
-		}
 		if n.isSelect {
 			if n.curVal+1 < n.ncases {
 				n.curVal++
 				s.nodes = s.nodes[:d+1]
 				return s.prefix(), true
 			}
-			s.memoStore(n)
 			continue // fully expanded; nothing is ever pruned here
 		}
 		// Everything below this node is exhausted, so its current branch
@@ -757,22 +591,8 @@ func (s *dporSearch) advance() ([]int, bool) {
 		// Node exhausted: every option never explored from here is a
 		// pruned sibling subtree.
 		s.res.SchedulesPruned += len(n.optionGs) - n.executed
-		s.memoStore(n)
 	}
 	return nil, false
-}
-
-// memoStore records an exhausted node's entry state as a known-quiet
-// subtree, when that is sound: memoization on, the node not itself pruned
-// or randomness-tainted, its footprint summary complete, and no run since
-// its creation unquiet (failed, errored, truncated, or drawing).
-func (s *dporSearch) memoStore(n *dporNode) {
-	if s.memo == nil || n.covered || n.tainted || n.summary.overflow || s.unquietRuns != n.baseline {
-		return
-	}
-	if s.memo.store(n.hash, n.summary.freeze()) {
-		s.res.StatesMemoized++
-	}
 }
 
 // prefix rebuilds the decision sequence pinning the current path.

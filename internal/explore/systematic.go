@@ -71,18 +71,6 @@ type SystematicOptions struct {
 	// budgets, so it is ignored when PreemptionBound > 0 (the bound
 	// already prunes far harder, at the cost of completeness).
 	Reduction bool
-	// Memo, when non-nil, enables cross-run state memoization on the
-	// reduced search (see memo.go): decision-node entry states are hashed
-	// canonically over the executed dependence trace, provably-quiet
-	// exhausted subtrees are stored, and a node whose entry state matches a
-	// stored one has its remaining branches pruned (with the stored
-	// footprint summary conservatively replanting ancestor backtracks).
-	// The same table can be shared across sequential searches of the SAME
-	// program and configuration — a resumed or sharded campaign re-verifies
-	// covered state spaces in O(1) runs. Ignored without Reduction, and
-	// self-disabling when Config.Injector is set or a run consults T.Rand
-	// (both make program state depend on more than the dependence trace).
-	Memo *MemoTable
 	// Workers fans independent schedules out over that many host
 	// goroutines; 0 or negative uses GOMAXPROCS, 1 explores serially.
 	// The result is bit-identical to the serial search for any worker
@@ -128,13 +116,6 @@ type SystematicResult struct {
 	// pending transition was asleep (already explored from an equivalent
 	// state); zero without Reduction.
 	SleepSetHits int
-	// StatesMemoized counts quiet exhausted subtrees this search stored in
-	// the memo table; PrefixesDeduped counts decision nodes whose branches
-	// were pruned because their entry state hit a stored one (possibly
-	// stored by an earlier search sharing the table). Zero without
-	// Reduction and a SystematicOptions.Memo table.
-	StatesMemoized  int
-	PrefixesDeduped int
 	// Verdict is the structured outcome: Confirmed when at least one
 	// schedule failed, Refuted when the search exhausted the tree with no
 	// failure, and Incomplete (with a reason) when it ran out of budget,

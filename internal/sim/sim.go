@@ -179,8 +179,8 @@ type Result struct {
 	VirtualTime       int64 // nanoseconds of virtual time elapsed
 	GoroutinesCreated int
 	// RandDraws counts T.Rand consultations. Nonzero means program
-	// behavior consumed interleaving-ordered randomness — a signal the
-	// explorer's trace-keyed state memoization uses to disable itself.
+	// behavior consumed interleaving-ordered randomness. Trace archives
+	// carry it in each run's trailer.
 	RandDraws int64
 	// Leaked lists goroutines judged blocked forever (the paper's
 	// "blocking bug" manifestation: goroutines that "wait for resources
@@ -280,11 +280,9 @@ type runtime struct {
 	sched        *schedState
 	chooserCalls int
 	lastDecision int // Chooser call index of the latest choose, -1 if forced
-	// randDraws counts T.Rand consultations this run. Program-visible
-	// randomness depends on the global draw order, i.e. on the concrete
-	// interleaving — the explorer's state memoization keys on the
-	// dependence trace alone, so it must switch itself off whenever a run
-	// drew (Result.RandDraws > 0).
+	// randDraws counts T.Rand consultations this run (Result.RandDraws).
+	// Program-visible randomness depends on the global draw order, i.e. on
+	// the concrete interleaving, not just on the dependence trace.
 	randDraws int64
 	// Run-pooling state. arena recycles per-primitive structures across
 	// runs in construction order (see arenaGet); pooled marks a runtime
