@@ -13,11 +13,16 @@ import (
 	"goconcbugs/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/dpor.golden")
+var update = flag.Bool("update", false, "rewrite testdata/dpor.golden and testdata/dfs.golden")
 
 // dporGoldenBudget bounds each reduced search; docker-apiversion is the one
 // variant whose reduced space exceeds it.
 const dporGoldenBudget = 20_000
+
+// dfsGoldenBudget bounds each full search. It is small enough for the race
+// lane and large enough that 13 of the 106 variants exhaust it, so their
+// frontier counts are pinned too.
+const dfsGoldenBudget = 5_000
 
 // TestDPORGolden pins the reduced search's result on every kernel, buggy
 // and fixed, as godetect -systematic -dpor runs it (seed 0): run count,
@@ -26,6 +31,20 @@ const dporGoldenBudget = 20_000
 // and the verdict. Any change to how the search plans, prunes or orders
 // schedules shows up here as a diff.
 func TestDPORGolden(t *testing.T) {
+	checkSearchGolden(t, "dpor.golden", true, dporGoldenBudget)
+}
+
+// TestDFSGolden pins the full depth-first search the same way, as
+// godetect -systematic runs it. The result must not depend on the core
+// count, so CI runs it under several -cpu values.
+func TestDFSGolden(t *testing.T) {
+	checkSearchGolden(t, "dfs.golden", false, dfsGoldenBudget)
+}
+
+// checkSearchGolden renders one line per kernel variant and compares the
+// whole text with testdata/name, or rewrites that file under -update.
+func checkSearchGolden(t *testing.T, name string, reduction bool, budget int) {
+	t.Helper()
 	var b strings.Builder
 	for _, k := range kernels.All() {
 		for _, v := range []struct {
@@ -34,8 +53,8 @@ func TestDPORGolden(t *testing.T) {
 		}{{"buggy", k.Buggy}, {"fixed", k.Fixed}} {
 			res := explore.Systematic(v.prog, explore.SystematicOptions{
 				Config:    k.Config(0),
-				MaxRuns:   dporGoldenBudget,
-				Reduction: true,
+				MaxRuns:   budget,
+				Reduction: reduction,
 			})
 			fmt.Fprintf(&b, "%s %s: runs %d complete %v depth %d failures %d schedule %v pruned %d sleep %d frontier %d errors %d: %s\n",
 				k.ID, v.name, res.Runs, res.Complete, res.MaxDepth, res.Failures, res.FailureSchedule,
@@ -43,7 +62,7 @@ func TestDPORGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "dpor.golden")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -61,9 +80,9 @@ func TestDPORGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("dpor golden differs at line %d:\n  got:  %q\n  want: %q", i+1, gl[i], wl[i])
+				t.Fatalf("%s differs at line %d:\n  got:  %q\n  want: %q", name, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("dpor golden differs in length: got %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("%s differs in length: got %d lines, want %d", name, len(gl), len(wl))
 	}
 }
