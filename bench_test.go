@@ -455,25 +455,6 @@ func BenchmarkDPORvsDFS(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelExploration compares serial and fanned-out systematic
-// search on the same kernel and schedule budget. The results are
-// bit-identical by construction (see explore.SystematicOptions.Workers);
-// the sub-benchmarks measure what the worker pool costs or saves on this
-// host's core count.
-func BenchmarkParallelExploration(b *testing.B) {
-	k, _ := kernels.ByID("docker-24007-double-close")
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := explore.Systematic(k.Buggy, explore.SystematicOptions{
-					Config: k.Config(0), MaxRuns: 50_000, Workers: workers,
-				})
-				b.ReportMetric(float64(res.Runs), "schedules")
-			}
-		})
-	}
-}
-
 // BenchmarkVetOverhead measures the rule monitor's cost on a healthy
 // pipeline.
 func BenchmarkVetOverhead(b *testing.B) {

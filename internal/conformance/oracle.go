@@ -209,7 +209,6 @@ func ExploreSimReduced(p *Program, maxSchedules int, withRace, reduce bool) *Sim
 		Config:    cfg,
 		MaxRuns:   maxSchedules,
 		Reduction: reduce,
-		Workers:   1, // serial: OnRun must pair with the envSlot of its run
 		OnRun: func(r *sim.Result, schedule []int) {
 			sp.Sigs[simSignature(r, *envSlot)]++
 			if r.Outcome == sim.OutcomeStepLimit {

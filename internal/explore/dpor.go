@@ -55,9 +55,7 @@ import (
 //
 // Determinism: the reduced search is a serial canonical walk — branches
 // advance deepest-first, backtrack candidates in ascending goroutine id —
-// so its result is bit-identical for any Workers value (Workers is ignored
-// under Reduction; the pruning itself removes far more work than worker
-// fan-out recovers on the small programs this explorer targets).
+// so its result depends on the program and options alone.
 
 // objKey identifies one footprint object. IDs are only comparable within a
 // class, so the class is part of the key.
@@ -241,7 +239,7 @@ func systematicDPOR(prog sim.Program, opts SystematicOptions) *SystematicResult 
 			return s.res.finish(err, opts.MaxRuns)
 		}
 		rec.reset()
-		chosen, _, r, runErr := runSchedule(pool, prog, cfg, opts.MaxChoices, -1, prefix)
+		chosen, _, r, runErr := runSchedule(pool, prog, cfg, -1, prefix)
 		s.res.Runs++
 		if runErr != nil {
 			runErr.Run = s.res.Runs - 1
@@ -301,7 +299,7 @@ func (s *dporSearch) frontier() int {
 // maintains the live sleep set along the path, computes dependence clocks,
 // and inserts backtrack points for every reversible race.
 func (s *dporSearch) processRun(rec *dporRecorder, chosen []int, r *sim.Result) {
-	horizon := s.opts.MaxChoices
+	horizon := maxChoices
 	objects := map[objKey]*objRec{}
 	clocks := map[int]hb.VC{}
 	born := map[int]hb.VC{}

@@ -10,10 +10,7 @@ package explore_test
 //
 //   - every kernel in the corpus, buggy and fixed variant alike, and
 //   - generated conformance-IR programs (a different program distribution:
-//     racy shared variables, WaitGroups, buffered fan-in trees),
-//
-// plus the determinism half of the contract: the reduced search must be
-// bit-identical for any Workers value.
+//     racy shared variables, WaitGroups, buffered fan-in trees).
 
 import (
 	"fmt"
@@ -91,7 +88,6 @@ func TestDPORKernelEquivalence(t *testing.T) {
 				opts := explore.SystematicOptions{
 					Config:  k.Config(0),
 					MaxRuns: kernelBudget,
-					Workers: 1,
 				}
 				dfsSigs, dfs := exploreSigs(variant.prog, opts)
 				opts.Reduction = true
@@ -127,48 +123,6 @@ func TestDPORKernelEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDPORWorkerDeterminism: under Reduction the search is a canonical
-// serial walk; any Workers value must produce a bit-identical result and
-// the identical OnRun sequence.
-func TestDPORWorkerDeterminism(t *testing.T) {
-	for _, id := range []string{"kubernetes-finishreq", "docker-abba-order", "etcd-double-recv"} {
-		k, ok := kernels.ByID(id)
-		if !ok {
-			t.Fatalf("kernel %s missing", id)
-		}
-		type runLog struct {
-			res    *explore.SystematicResult
-			runs   []string
-			scheds [][]int
-		}
-		collect := func(workers int) runLog {
-			var l runLog
-			opts := explore.SystematicOptions{
-				Config:    k.Config(0),
-				MaxRuns:   50_000,
-				Reduction: true,
-				Workers:   workers,
-				OnRun: func(r *sim.Result, schedule []int) {
-					l.runs = append(l.runs, traceSignature(r))
-					l.scheds = append(l.scheds, append([]int(nil), schedule...))
-				},
-			}
-			l.res = explore.Systematic(k.Buggy, opts)
-			return l
-		}
-		base := collect(1)
-		for _, w := range []int{0, 4, 16} {
-			got := collect(w)
-			if !reflect.DeepEqual(base.res, got.res) {
-				t.Errorf("%s: Workers=%d result differs from Workers=1:\n%+v\nvs\n%+v", id, w, got.res, base.res)
-			}
-			if !reflect.DeepEqual(base.runs, got.runs) || !reflect.DeepEqual(base.scheds, got.scheds) {
-				t.Errorf("%s: Workers=%d OnRun sequence differs from Workers=1", id, w)
-			}
-		}
 	}
 }
 
@@ -240,9 +194,9 @@ func TestReplayScheduleMismatch(t *testing.T) {
 	}
 	// A genuinely recorded schedule must replay cleanly and reproduce its
 	// result.
-	res := explore.Systematic(twoWorkers, explore.SystematicOptions{MaxRuns: 50, Workers: 1})
+	res := explore.Systematic(twoWorkers, explore.SystematicOptions{MaxRuns: 50})
 	var recorded [][]int
-	opts := explore.SystematicOptions{MaxRuns: 50, Workers: 1,
+	opts := explore.SystematicOptions{MaxRuns: 50,
 		OnRun: func(r *sim.Result, s []int) { recorded = append(recorded, append([]int(nil), s...)) }}
 	explore.Systematic(twoWorkers, opts)
 	_ = res

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,26 +105,26 @@ func TestSystematicVerdictConfirmedAndRefuted(t *testing.T) {
 	}
 }
 
-// TestSystematicCancellation: all three search modes (serial, parallel,
-// DPOR) stop between runs on cancellation and return the partial result
-// with an Incomplete verdict naming the context reason.
+// TestSystematicCancellation: both search modes (full DFS and DPOR) stop
+// between runs on cancellation and return the partial result with an
+// Incomplete verdict naming the context reason.
 func TestSystematicCancellation(t *testing.T) {
 	modes := []struct {
 		name string
 		opts SystematicOptions
 	}{
-		{"serial", SystematicOptions{Workers: 1}},
-		{"parallel", SystematicOptions{Workers: 4}},
-		{"dpor", SystematicOptions{Workers: 1, Reduction: true}},
+		{"dfs", SystematicOptions{}},
+		{"dpor", SystematicOptions{Reduction: true}},
 	}
 	for _, m := range modes {
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := m.opts
 		opts.MaxRuns = 1_000_000
 		opts.Context = ctx
-		var runs atomic.Int64 // OnRun fires from worker goroutines in parallel mode
+		runs := 0
 		opts.OnRun = func(r *sim.Result, schedule []int) {
-			if runs.Add(1) == 5 {
+			runs++
+			if runs == 5 {
 				cancel()
 			}
 		}
@@ -162,9 +161,8 @@ func TestSystematicSurvivesHostPanics(t *testing.T) {
 		name string
 		opts SystematicOptions
 	}{
-		{"serial", SystematicOptions{Workers: 1}},
-		{"parallel", SystematicOptions{Workers: 4}},
-		{"dpor", SystematicOptions{Workers: 1, Reduction: true}},
+		{"dfs", SystematicOptions{}},
+		{"dpor", SystematicOptions{Reduction: true}},
 	} {
 		opts := m.opts
 		opts.MaxRuns = 100

@@ -1,12 +1,8 @@
 package explore
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"goconcbugs/internal/harness"
 	"goconcbugs/internal/sim"
@@ -36,17 +32,12 @@ type SystematicOptions struct {
 	// overwritten.
 	Config sim.Config
 	// Context, when non-nil, bounds the exploration's wall-clock: on
-	// cancellation or deadline expiry the search stops between runs (serial
-	// and DPOR modes) or between batches (parallel mode) and returns the
-	// partial result with an Incomplete verdict instead of discarding the
-	// work done. Nil means no deadline.
+	// cancellation or deadline expiry the search stops between runs and
+	// returns the partial result with an Incomplete verdict instead of
+	// discarding the work done. Nil means no deadline.
 	Context context.Context
 	// MaxRuns bounds the number of schedules explored (default 10000).
 	MaxRuns int
-	// MaxChoices bounds the per-run decision depth that participates in
-	// backtracking (default 2000); deeper decisions take the first
-	// option. Completeness is relative to this bound.
-	MaxChoices int
 	// StopAtFirstFailure ends the search at the first failing schedule.
 	StopAtFirstFailure bool
 	// PreemptionBound, when > 0, explores only schedules with at most
@@ -65,31 +56,23 @@ type SystematicOptions struct {
 	// channel-heavy programs. Runs are pruned, so OnRun fires for fewer
 	// schedules, and Runs/MaxDepth/FailureSchedule describe the reduced
 	// search; SchedulesPruned and SleepSetHits report what was skipped.
-	// The reduced search is a serial canonical walk: its result is
-	// bit-identical for any Workers value (Workers is ignored).
 	// Reduction reasons about unbounded dependence, not preemption
 	// budgets, so it is ignored when PreemptionBound > 0 (the bound
 	// already prunes far harder, at the cost of completeness).
 	Reduction bool
-	// Workers fans independent schedules out over that many host
-	// goroutines; 0 or negative uses GOMAXPROCS, 1 explores serially.
-	// The result is bit-identical to the serial search for any worker
-	// count: schedules are merged in canonical DFS order, so Runs,
-	// Complete, Failures, FirstFailure, and FailureSchedule do not depend
-	// on execution timing. Config.Observer and Config.Monitor are shared
-	// across concurrent runs and must be nil or thread-safe when
-	// Workers != 1.
-	Workers int
 	// OnRun, when non-nil, receives every executed schedule's result and
-	// decision sequence as soon as the run finishes. This is how the
-	// conformance oracle collects the full set of terminal states a
-	// program can reach. With Workers == 1 the callback fires serially in
-	// DFS order; with parallel workers it fires from worker goroutines in
-	// execution order and must be thread-safe. The slice is reused by the
-	// search, and in serial mode the Result lives in a recycled run pool:
-	// clone either (r.Clone, append) to retain it past the callback.
+	// decision sequence as soon as the run finishes, serially and in
+	// search order. This is how the conformance oracle collects the full
+	// set of terminal states a program can reach. The slice is reused by
+	// the search and the Result lives in a recycled run pool: clone either
+	// (r.Clone, append) to retain it past the callback.
 	OnRun func(r *sim.Result, schedule []int)
 }
+
+// maxChoices bounds the per-run decision depth that participates in
+// backtracking; deeper decisions take the first option. Completeness is
+// relative to this bound.
+const maxChoices = 2000
 
 // SystematicResult summarizes an exploration.
 type SystematicResult struct {
@@ -123,8 +106,8 @@ type SystematicResult struct {
 	// far" is NOT verification.
 	Verdict harness.Verdict
 	// Frontier sizes the unexplored remainder when the search stopped
-	// early: the number of known-untried sibling options (serial and DPOR
-	// modes) or pending prefix jobs (parallel mode). Zero when Complete.
+	// early: the number of known-untried sibling options. Zero when
+	// Complete.
 	Frontier int
 	// Errors records schedules whose execution panicked on the host side
 	// (a detector sink or kernel bug); such runs are isolated, counted
@@ -176,9 +159,9 @@ func frontierOf(chosen, options []int) int {
 // decisions recorded before the panic, so the DFS can still backtrack past
 // the schedule.
 //
-// With a non-nil pool the run recycles the pool's runtime and r is only
-// valid until the pool's next run — callers clone what they retain.
-func runSchedule(pool *sim.RunPool, prog sim.Program, cfg sim.Config, maxChoices, bound int, prefix []int) (chosen, options []int, r *sim.Result, runErr *harness.RunError) {
+// The run recycles the pool's runtime, so r is only valid until the pool's
+// next run — callers clone what they retain.
+func runSchedule(pool *sim.RunPool, prog sim.Program, cfg sim.Config, bound int, prefix []int) (chosen, options []int, r *sim.Result, runErr *harness.RunError) {
 	preemptions := 0
 	cfg.Chooser = func(n, preferred int) int {
 		d := len(chosen)
@@ -223,13 +206,7 @@ func runSchedule(pool *sim.RunPool, prog sim.Program, cfg sim.Config, maxChoices
 		}
 		return actual
 	}
-	runErr = harness.Capture(0, cfg.Seed, func() {
-		if pool != nil {
-			r = pool.Run(cfg, prog)
-		} else {
-			r = sim.Run(cfg, prog)
-		}
-	})
+	runErr = harness.Capture(0, cfg.Seed, func() { r = pool.Run(cfg, prog) })
 	return chosen, options, r, runErr
 }
 
@@ -238,22 +215,12 @@ func Systematic(prog sim.Program, opts SystematicOptions) *SystematicResult {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 10000
 	}
-	if opts.MaxChoices <= 0 {
-		opts.MaxChoices = 2000
-	}
 	bound := -1 // unbounded
 	if opts.PreemptionBound > 0 {
 		bound = opts.PreemptionBound
 	}
 	if opts.Reduction && bound < 0 {
 		return systematicDPOR(prog, opts)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 {
-		return systematicParallel(prog, opts, bound, workers)
 	}
 	ctx := opts.Context
 	if ctx == nil {
@@ -267,7 +234,7 @@ func Systematic(prog sim.Program, opts SystematicOptions) *SystematicResult {
 		if err := ctx.Err(); err != nil {
 			return res.finish(err, opts.MaxRuns)
 		}
-		chosen, options, r, runErr := runSchedule(pool, prog, opts.Config, opts.MaxChoices, bound, prefix)
+		chosen, options, r, runErr := runSchedule(pool, prog, opts.Config, bound, prefix)
 		res.Runs++
 		res.Frontier = frontierOf(chosen, options)
 		if runErr != nil {
@@ -310,185 +277,6 @@ func Systematic(prog sim.Program, opts SystematicOptions) *SystematicResult {
 		prefix[d] = chosen[d] + 1
 	}
 	return res.finish(nil, opts.MaxRuns)
-}
-
-// The parallel search decomposes the same DFS tree into independent jobs.
-// A job is a decision prefix; executing it runs the leftmost schedule below
-// that prefix (the decisions past the prefix are all 0) and spawns a child
-// job for every untried sibling option at every depth at or past the prefix
-// length. Each schedule the serial DFS would run is the leftmost descent of
-// exactly one such prefix, and its full decision sequence is the prefix
-// padded with zeros — so the serial execution order is precisely the
-// lexicographic order of zero-padded prefixes. That gives a canonical total
-// order independent of which worker finished first, which is what makes the
-// merge deterministic.
-
-// cmpPadded compares decision prefixes in zero-padded lexicographic order.
-func cmpPadded(a, b []int) int {
-	n := max(len(a), len(b))
-	for i := 0; i < n; i++ {
-		av, bv := 0, 0
-		if i < len(a) {
-			av = a[i]
-		}
-		if i < len(b) {
-			bv = b[i]
-		}
-		if av != bv {
-			if av < bv {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// jobHeap is a min-heap of pending prefixes in canonical order.
-type jobHeap [][]int
-
-func (h jobHeap) Len() int           { return len(h) }
-func (h jobHeap) Less(i, j int) bool { return cmpPadded(h[i], h[j]) < 0 }
-func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)        { *h = append(*h, x.([]int)) }
-func (h *jobHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h jobHeap) min() []int         { return h[0] }
-
-// leafRec is one executed schedule, keyed by the prefix that generated it.
-type leafRec struct {
-	key    []int
-	depth  int
-	failed bool
-	// result and chosen are kept only for failing schedules; passing
-	// ones need nothing beyond depth for the merge.
-	result *sim.Result
-	chosen []int
-	// err records a host-side panic; the schedule still participates in
-	// the canonical merge so resumption and backtracking stay aligned.
-	err *harness.RunError
-}
-
-func systematicParallel(prog sim.Program, opts SystematicOptions, bound, workers int) *SystematicResult {
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pending := &jobHeap{[]int{}}
-	var leaves []leafRec
-	// A leaf is "settled" once every schedule the serial DFS would run
-	// before it has been executed. Because a child prefix always sorts
-	// after its parent's leaf and the heap pops the global minimum, every
-	// leaf ordered before the smallest pending prefix is settled.
-	open := []int{} // indices into leaves not yet settled
-	settled := 0
-	settledFailure := false
-	exhausted := false
-	var ctxErr error
-
-	for pending.Len() > 0 {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			break
-		}
-		batch := min(workers, pending.Len())
-		jobs := make([][]int, batch)
-		for i := range jobs {
-			jobs[i] = heap.Pop(pending).([]int)
-		}
-		recs := make([]leafRec, batch)
-		children := make([][][]int, batch)
-		var wg sync.WaitGroup
-		for i, q := range jobs {
-			wg.Add(1)
-			go func(i int, q []int) {
-				defer wg.Done()
-				chosen, options, r, runErr := runSchedule(nil, prog, opts.Config, opts.MaxChoices, bound, q)
-				rec := leafRec{key: q, depth: len(chosen), err: runErr}
-				if runErr == nil {
-					if opts.OnRun != nil {
-						opts.OnRun(r, chosen)
-					}
-					if r.Failed() {
-						rec.failed = true
-						rec.result = r
-						rec.chosen = append([]int(nil), chosen...)
-					}
-				}
-				recs[i] = rec
-				// Sibling options at depths before len(q) belong to
-				// jobs spawned by this job's ancestors.
-				for d := len(q); d < len(chosen); d++ {
-					for v := chosen[d] + 1; v < options[d]; v++ {
-						child := make([]int, d+1)
-						copy(child, chosen[:d])
-						child[d] = v
-						children[i] = append(children[i], child)
-					}
-				}
-			}(i, q)
-		}
-		wg.Wait()
-		for i := range recs {
-			open = append(open, len(leaves))
-			leaves = append(leaves, recs[i])
-			for _, c := range children[i] {
-				heap.Push(pending, c)
-			}
-		}
-		if pending.Len() == 0 {
-			exhausted = true
-			break
-		}
-		frontier := pending.min()
-		keep := open[:0]
-		for _, idx := range open {
-			if cmpPadded(leaves[idx].key, frontier) < 0 {
-				settled++
-				if leaves[idx].failed {
-					settledFailure = true
-				}
-			} else {
-				keep = append(keep, idx)
-			}
-		}
-		open = keep
-		// Enough settled schedules pin down the serial result: either
-		// the run budget is spent on them, or (when stopping at the
-		// first failure) a settled failure bounds the search.
-		if settled >= opts.MaxRuns || (opts.StopAtFirstFailure && settledFailure) {
-			break
-		}
-	}
-
-	sort.Slice(leaves, func(i, j int) bool { return cmpPadded(leaves[i].key, leaves[j].key) < 0 })
-	res := &SystematicResult{Frontier: pending.Len()}
-	limit := min(len(leaves), opts.MaxRuns)
-	for i := 0; i < limit; i++ {
-		res.Runs++
-		if leaves[i].depth > res.MaxDepth {
-			res.MaxDepth = leaves[i].depth
-		}
-		if leaves[i].err != nil {
-			e := *leaves[i].err
-			e.Run = i
-			res.Errors = append(res.Errors, &e)
-			continue
-		}
-		if leaves[i].failed {
-			res.Failures++
-			if res.FirstFailure == nil {
-				res.FirstFailure = leaves[i].result
-				res.FailureSchedule = leaves[i].chosen
-			}
-			if opts.StopAtFirstFailure {
-				return res.finish(ctxErr, opts.MaxRuns)
-			}
-		}
-	}
-	res.Complete = exhausted && len(leaves) <= opts.MaxRuns && ctxErr == nil
-	if res.Complete {
-		res.Frontier = 0
-	}
-	return res.finish(ctxErr, opts.MaxRuns)
 }
 
 // ReplaySchedule re-executes prog under a recorded decision sequence,

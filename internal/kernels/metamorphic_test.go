@@ -46,7 +46,6 @@ func TestFixedVariantsQuietOverSchedules(t *testing.T) {
 				Config:          cfg,
 				MaxRuns:         200,
 				PreemptionBound: 2,
-				Workers:         1, // serial so the per-run race reset is sound
 				OnRun: func(r *sim.Result, schedule []int) {
 					if obs == nil {
 						return
