@@ -88,7 +88,7 @@ func oneShot(args []string) int {
 	shardIdx := fs.Int("shard", 0, "with -shards: the 0-based shard this process sweeps")
 	foldFlag := fs.Bool("fold", false, "with -shards: merge the shard checkpoints into the serial checkpoint and print the combined report instead of sweeping")
 	record := fs.String("record", "", "with -with: archive every run of the sweep as trace/v1 files under this directory (re-judge offline with -replay); -all records into per-kernel subdirectories")
-	replay := fs.String("replay", "", "re-judge a sweep archive recorded with -record instead of running live; pass the recording's -kernel/-all, -with, -runs, -seed, and -faults options (the detector set may differ — that is the point)")
+	replay := fs.String("replay", "", "re-judge a sweep archive recorded with -record instead of running live; pass the recording's -kernel/-all, -fixed, -with, -runs, -seed, -faults, -faultseed and -aggressive options (the detector set may differ — that is the point)")
 	remote := fs.String("remote", "", "submit to a godetect daemon at this address (unix:///path/sock or host:port) instead of executing in-process")
 	fleetHosts := fs.String("fleet", "", "comma-separated daemon addresses: fan a -with sweep's shards across them with retry, stealing, and local fallback (needs -kernel and -resume; composes with -shards); exit 3 if the sweep degraded to local execution")
 	leaseTimeout := fs.Duration("lease-timeout", 10*time.Second, "with -fleet: how long a shard lease may run before another daemon may steal the shard")

@@ -66,19 +66,6 @@ func replayRun(tr *trace.Reader, dets []Detector) (*Report, error) {
 	return rep, nil
 }
 
-// traceFingerprint identifies a sweep's archive. Unlike sweepIdentity it
-// deliberately excludes the detector set: re-judging an old archive with
-// detectors that did not exist at record time is the point of replay, so an
-// archive is keyed only by what produced the events.
-func traceFingerprint(opts SweepOptions) string {
-	inj := ""
-	if opts.InjectorFor != nil {
-		inj = " inject"
-	}
-	return fmt.Sprintf("trace/v1 runs=%d base=%d prog=%s%s",
-		opts.Runs, opts.BaseSeed, opts.Config.Name, inj)
-}
-
 // ReplayDir re-judges a sweep archive recorded via SweepOptions.RecordDir:
 // every *.trace file under dir replays through the listed detectors, and
 // the records fold with foldSweep — the same fold as a live sweep, so the
@@ -87,9 +74,10 @@ func traceFingerprint(opts SweepOptions) string {
 // writes. Runs absent from the archive (a shard not yet recorded, or a run
 // that panicked while recording) fold into Incomplete.
 //
-// opts must be the recording sweep's options: Runs, BaseSeed, Config.Name
-// and whether InjectorFor was set are checked against every frame header
-// and a mismatch returns a *trace.FingerprintError.
+// opts must be the recording sweep's options: everything sweepIdentity
+// covers except the detector set (runs, seeds, program name, step budget,
+// leak threshold and fault parameters) is checked against every frame
+// header, and a mismatch returns a *trace.FingerprintError.
 func ReplayDir(dir string, opts SweepOptions, dets ...Detector) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
@@ -102,7 +90,7 @@ func ReplayDir(dir string, opts SweepOptions, dets ...Detector) (*SweepReport, e
 		return nil, fmt.Errorf("detect: no .trace files under %s", dir)
 	}
 	sort.Strings(files)
-	want := traceFingerprint(opts)
+	want := sweepIdentity(opts, nil)
 	records := make([]*sweepRecord, opts.Runs)
 	for _, path := range files {
 		if err := replayFile(path, want, opts, dets, records); err != nil {
@@ -192,7 +180,7 @@ func beginRecording(opts SweepOptions, i int, cfg *sim.Config) *recording {
 	}
 	tw := trace.NewWriter(f)
 	rec := tw.BeginRun(trace.RunMeta{
-		Fingerprint:   traceFingerprint(opts),
+		Fingerprint:   sweepIdentity(opts, nil),
 		Name:          cfg.Name,
 		Run:           i,
 		Runs:          opts.Runs,

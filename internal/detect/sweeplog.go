@@ -31,6 +31,10 @@ import (
 // rejects shards whose identity differs. The fault parameters come from run
 // 0's pre-run plan (InjectorFor is a pure function of run and seed); an
 // injector that exposes no plan is recorded only as present.
+//
+// With nil dets it is a trace archive's fingerprint: what produced the
+// events, without the detectors that judged them, since re-judging an
+// archive with other detectors is the point of replay.
 func sweepIdentity(opts SweepOptions, dets []Detector) string {
 	names := make([]string, len(dets))
 	for i, d := range dets {
