@@ -252,16 +252,22 @@ func (e *Engine) execRun(ctx context.Context, job Job) (*Result, error) {
 	return &Result{Job: job, Text: b.String(), Fired: fired, Verdict: verdict}, nil
 }
 
-// renderVet sweeps the same seeds under the usage-rule checker and appends
-// the distinct findings in sorted (deterministic) order. Each seed runs
-// under harness.Capture, and the pass stops once ctx ends. It returns how
-// many seeds completed and how many host-panicked.
+// renderVet sweeps the same seeds under the usage-rule checker, with the
+// job's fault injector, and appends the distinct findings in sorted
+// (deterministic) order. Each seed runs under harness.Capture, and the pass
+// stops once ctx ends. It returns how many seeds completed and how many
+// host-panicked.
 func renderVet(ctx context.Context, b *strings.Builder, job Job, r resolved) (done, panics int) {
 	distinct := map[string]bool{}
+	injectorFor := job.injectorFor()
 	for i := 0; i < job.Runs && ctx.Err() == nil; i++ {
 		seed := job.Seed + int64(i)
+		cfg := r.cfgFor(seed)
+		if injectorFor != nil {
+			cfg.Injector = injectorFor(i, seed)
+		}
 		var m *vet.Monitor
-		if harness.Capture(i, seed, func() { m, _ = vet.Check(r.cfgFor(seed), r.prog) }) != nil {
+		if harness.Capture(i, seed, func() { m, _ = vet.Check(cfg, r.prog) }) != nil {
 			panics++
 			continue
 		}

@@ -390,3 +390,52 @@ func TestRunVetStopsWhenContextEnds(t *testing.T) {
 		t.Fatalf("%d incomplete results cached", st.Len())
 	}
 }
+
+// TestRunVetSeesFaults: a run job's vet pass runs each seed under the job's
+// fault injector, so its findings come from the executions counted above
+// them. The injected vet sweep's sample finding must appear, and the vet
+// lines must differ from the fault-free job's.
+func TestRunVetSeesFaults(t *testing.T) {
+	e := newEngine(t, Options{Workers: 1, SweepWorkers: 1})
+	ctx := context.Background()
+	const kernel = "docker-24007-double-close"
+	plain := Job{Kind: KindRun, Kernel: kernel, Runs: 30, Vet: true}
+	faulty := plain
+	faulty.Faults, faulty.FaultSeed, faulty.Aggressive = 3, 1, true
+	sweep := Job{Kind: KindSweep, Kernel: kernel, Runs: 30, Detectors: []string{"vet"},
+		Faults: 3, FaultSeed: 1, Aggressive: true}
+
+	var texts []string
+	for _, job := range []Job{plain, faulty} {
+		res, err := e.Submit(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, vetLines(res.Text))
+	}
+	sw, err := e.Submit(ctx, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := firstLine(sw.Sweep.Detectors[0].Sample)
+	if sample == "" {
+		t.Fatalf("injected vet sweep found nothing:\n%s", sw.Text)
+	}
+	if !strings.Contains(texts[1], sample) {
+		t.Errorf("-vet -faults lacks the injected sweep's finding %q:\n%s", sample, texts[1])
+	}
+	if texts[0] == texts[1] {
+		t.Errorf("-vet -faults printed the fault-free findings:\n%s", texts[1])
+	}
+}
+
+// vetLines keeps a run job's vet findings, dropping the sampling summary.
+func vetLines(text string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "    vet") {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
