@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,6 +20,7 @@ import (
 //	POST /v1/jobs              submit a Job; ?wait=1 blocks for the Result
 //	GET  /v1/jobs/{id}         job state ("queued" | "running" | "done")
 //	GET  /v1/jobs/{id}/result  block for (or fetch) the Result
+//	GET  /v1/jobs/{id}/shard   an inline shard's record log, raw, once
 //	POST /v1/jobs/{id}/cancel  cancel a queued or running job
 //	GET  /v1/stats             engine + store counters
 //	GET  /v1/health            load/liveness snapshot for fleet schedulers
@@ -29,6 +31,8 @@ import (
 type Server struct {
 	eng *Engine
 
+	// mu guards tickets and the ShardCheckpoint of every result they hold:
+	// the server drops a shard's bytes once served or canceled.
 	mu      sync.Mutex
 	tickets map[string]*Ticket
 
@@ -196,12 +200,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writeResult(w, r, t)
+	case "shard":
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, errors.New("GET /v1/jobs/{id}/shard"))
+			return
+		}
+		s.writeShard(w, r, t)
 	case "cancel":
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, errors.New("POST /v1/jobs/{id}/cancel"))
 			return
 		}
 		t.Cancel()
+		if t.Job.InlineShard {
+			s.dropCanceledShard(t)
+		}
 		writeJSON(w, http.StatusOK, statusView{ID: t.ID, State: t.State()})
 	default:
 		writeError(w, http.StatusNotFound, fmt.Errorf("no resource %q", sub))
@@ -218,17 +231,87 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, t *Ticket) 
 		return
 	}
 	view := resultView{ID: t.ID, Result: res}
+	if res != nil {
+		s.mu.Lock()
+		view.ShardBytes = len(res.ShardCheckpoint)
+		s.mu.Unlock()
+	}
 	if err != nil {
 		view.Error = err.Error()
 	}
 	writeJSON(w, http.StatusOK, view)
 }
 
-// resultView is the wire form of a completed job.
+// resultView is the wire form of a completed job. An inline shard's record
+// log never rides in it: ShardBytes announces the log's length, and
+// GET /v1/jobs/{id}/shard serves the bytes.
 type resultView struct {
-	ID     string  `json:"id"`
-	Result *Result `json:"result,omitempty"`
-	Error  string  `json:"error,omitempty"`
+	ID         string  `json:"id"`
+	Result     *Result `json:"result,omitempty"`
+	ShardBytes int     `json:"shardBytes,omitempty"`
+	Error      string  `json:"error,omitempty"`
+}
+
+// writeShard blocks on an inline-shard ticket like writeResult, then serves
+// the shard's record log as raw bytes and drops the server's reference to
+// them: a fleet fetches each shard once, and a finished ticket would
+// otherwise pin its log for the daemon's lifetime. A later fetch answers
+// 410 Gone; the JSON result stays queryable.
+func (s *Server) writeShard(w http.ResponseWriter, r *http.Request, t *Ticket) {
+	if !t.Job.InlineShard {
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %q is not an inline shard", t.ID))
+		return
+	}
+	res, err := t.Wait(r.Context())
+	if err != nil && res == nil && r.Context().Err() != nil {
+		writeError(w, http.StatusGatewayTimeout, err)
+		return
+	}
+	if res == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no shard log: %v", t.ID, err))
+		return
+	}
+	s.mu.Lock()
+	data := res.ShardCheckpoint
+	s.mu.Unlock()
+	if len(data) == 0 {
+		writeError(w, http.StatusGone, fmt.Errorf("job %q's shard log was already served or canceled", t.ID))
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	if _, err := w.Write(data); err != nil {
+		return
+	}
+	if http.NewResponseController(w).Flush() != nil {
+		return
+	}
+	s.dropShard(t)
+}
+
+// dropShard forgets a finished ticket's inline shard log.
+func (s *Server) dropShard(t *Ticket) {
+	s.mu.Lock()
+	if t.res != nil {
+		t.res.ShardCheckpoint = nil
+	}
+	s.mu.Unlock()
+}
+
+// dropCanceledShard drops a canceled inline-shard job's log, which no caller
+// will fetch: the fleet cancels only runners whose shard it no longer wants.
+// A job still queued or running ends soon after its cancel; a goroutine
+// waits for that.
+func (s *Server) dropCanceledShard(t *Ticket) {
+	select {
+	case <-t.done:
+		s.dropShard(t)
+	default:
+		go func() {
+			<-t.done
+			s.dropShard(t)
+		}()
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -307,6 +390,8 @@ func (c *Client) Close() {
 	c.tr.CloseIdleConnections()
 }
 
+// do sends one request and decodes a 2xx answer into out: JSON, or a raw
+// shard log when out is a *shardLog.
 func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
 	if c.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -355,10 +440,49 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		}
 		return fmt.Errorf("daemon: HTTP %d", resp.StatusCode)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *shardLog:
+		return out.read(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// shardLog is the body of GET /v1/jobs/{id}/shard, which must be exactly
+// the length the job's result announced.
+type shardLog struct {
+	want int
+	data []byte
+}
+
+// read takes the whole body or fails: a short or torn transfer must fail
+// the attempt, never hand a fold a truncated log.
+func (l *shardLog) read(resp *http.Response) error {
+	if resp.ContentLength != int64(l.want) {
+		return fmt.Errorf("daemon: shard log of %d bytes announced, %d served", l.want, resp.ContentLength)
+	}
+	l.data = make([]byte, l.want)
+	if _, err := io.ReadFull(resp.Body, l.data); err != nil {
+		return fmt.Errorf("daemon: reading shard log: %w", err)
+	}
+	return nil
+}
+
+// finish turns a result's wire form into the Result callers see: it
+// fetches the inline shard log the view announces into ShardCheckpoint.
+func (c *Client) finish(ctx context.Context, view resultView) (*Result, error) {
+	if view.Error != "" {
+		return view.Result, errors.New(view.Error)
+	}
+	if view.ShardBytes > 0 && view.Result != nil {
+		shard := shardLog{want: view.ShardBytes}
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+view.ID+"/shard", nil, &shard); err != nil {
+			return nil, err
+		}
+		view.Result.ShardCheckpoint = shard.data
+	}
+	return view.Result, nil
 }
 
 // Submit sends the job and blocks for its result. A non-empty wire error is
@@ -368,10 +492,7 @@ func (c *Client) Submit(ctx context.Context, job Job) (*Result, error) {
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", job, &view); err != nil {
 		return nil, err
 	}
-	if view.Error != "" {
-		return view.Result, errors.New(view.Error)
-	}
-	return view.Result, nil
+	return c.finish(ctx, view)
 }
 
 // Enqueue submits without waiting and returns the job ID.
@@ -398,10 +519,7 @@ func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &view); err != nil {
 		return nil, err
 	}
-	if view.Error != "" {
-		return view.Result, errors.New(view.Error)
-	}
-	return view.Result, nil
+	return c.finish(ctx, view)
 }
 
 // Cancel asks the daemon to cancel a submitted job: queued jobs fold an

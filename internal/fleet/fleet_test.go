@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -570,3 +571,70 @@ func (hangForever) Health(ctx context.Context) (engine.Health, error) {
 	return engine.Health{Status: "ok"}, nil
 }
 func (hangForever) Close() {}
+
+// TestFleetDaemonMemoryBounded: a daemon that serves sweep after sweep keeps
+// no shard's record log once the fleet has fetched it, so its heap stays
+// flat instead of growing by a sweep's shard logs per sweep.
+func TestFleetDaemonMemoryBounded(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1, SweepWorkers: 1})
+	t.Cleanup(eng.Close)
+	srv := engine.NewServer(eng)
+	sock := filepath.Join(t.TempDir(), "d.sock")
+	if err := srv.Listen(sock); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+
+	const sweeps, shards = 10, 4
+	job := baseJob()
+	job.Runs = 4000
+	var shardBytes int64
+	var heap2 uint64
+	for i := 0; i < sweeps; i++ {
+		base := filepath.Join(t.TempDir(), "fleet.ck")
+		rep, err := Run(context.Background(), job, Options{
+			Hosts: []string{sock}, Shards: shards, CheckpointBase: base,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Degraded {
+			t.Fatalf("sweep %d degraded to local execution", i)
+		}
+		switch i {
+		case 0:
+			for s := 0; s < shards; s++ {
+				fi, err := os.Stat(engine.ShardCheckpointName(base, s, shards))
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardBytes += fi.Size()
+			}
+		case 1:
+			heap2 = heapAfterGC()
+		}
+	}
+	if grew := int64(heapAfterGC()) - int64(heap2); grew >= shardBytes {
+		t.Errorf("daemon heap grew %d bytes from sweep 2 to %d; one sweep's shard logs are %d bytes",
+			grew, sweeps, shardBytes)
+	}
+}
+
+// heapAfterGC is the live heap after a full collection.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
