@@ -9,10 +9,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"goconcbugs/internal/event"
 	"goconcbugs/internal/inject"
 	"goconcbugs/internal/kernels"
 	"goconcbugs/internal/sim"
@@ -208,8 +211,9 @@ func TestReplayWithDetectorsUnknownAtRecordTime(t *testing.T) {
 }
 
 // TestReplayDirStructuredErrors pins the failure modes: empty directories,
-// archives recorded under different options, duplicated runs, and frames
-// beyond the sweep's range all fail with structured errors, never panics.
+// archives recorded under different options, duplicated runs, frames whose
+// seed is not their run's, and frames beyond the sweep's range all fail with
+// structured errors, never panics.
 func TestReplayDirStructuredErrors(t *testing.T) {
 	k := mustKernel(t, "docker-abba-order")
 	dets := []Detector{MustLookup("race")}
@@ -254,6 +258,44 @@ func TestReplayDirStructuredErrors(t *testing.T) {
 		defer os.Remove(dup)
 		if _, err := ReplayDir(dir, opts, dets...); err == nil {
 			t.Error("want error for a run archived twice")
+		}
+	})
+	t.Run("foreign-seed", func(t *testing.T) {
+		// Run 3's frame, under the archive's own fingerprint, claims a
+		// seed that is not run 3's.
+		forged := t.TempDir()
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("run-%05d.trace", i)
+			if err := os.WriteFile(filepath.Join(forged, name), readFile(t, filepath.Join(dir, name)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(forged, "run-00003.trace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := opts.Config
+		cfg.Seed = 999
+		rec := trace.NewWriter(f).BeginRun(trace.RunMeta{
+			Fingerprint: sweepIdentity(opts, nil), Name: cfg.Name,
+			Run: 3, Runs: opts.Runs, BaseSeed: opts.BaseSeed, Seed: cfg.Seed, MaxSteps: cfg.MaxSteps,
+		})
+		cfg.Sinks = []event.Sink{rec}
+		if err := rec.FinishRun(sim.Run(cfg, k.Buggy), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReplayDir(forged, opts, dets...)
+		if err == nil {
+			t.Fatal("want error for a frame whose seed is not its run's")
+		}
+		for _, want := range []string{path, "run 3", "seed 999", "seed 4"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
 		}
 	})
 	t.Run("run-out-of-range", func(t *testing.T) {
