@@ -16,7 +16,8 @@
 // # Dispatch cost model
 //
 // A Sink declares the event kinds it wants via Kinds(); NewMux buckets the
-// sinks into a [NumKinds][]Sink array once, at run start. Emitting is then
+// sinks into a [NumKinds][]Sink array once, at run start (a recycled
+// runtime rebuilds its mux in place with Mux.Reset). Emitting is then
 //
 //	sinks := mux.byKind[ev.Kind]   // one array index
 //	for _, s := range sinks { s.Event(ev) }
@@ -321,6 +322,24 @@ func NewMux(sinks []Sink) *Mux {
 		return nil
 	}
 	m := &Mux{}
+	m.Reset(sinks)
+	return m
+}
+
+// Reset rebuilds m's dispatch table for sinks in place, reusing the per-kind
+// lists the previous build grew, so a mux rebuilt before every run of a
+// recycled runtime stops allocating once its lists are large enough. The
+// table is the one NewMux(sinks) would build, except that an empty sinks
+// leaves an empty mux rather than nil.
+func (m *Mux) Reset(sinks []Sink) {
+	for k := range m.byKind {
+		// Clear before truncating: a stale entry past the new length
+		// would keep the previous run's sink reachable.
+		clear(m.byKind[k])
+		m.byKind[k] = m.byKind[k][:0]
+	}
+	clear(m.enders)
+	m.enders = m.enders[:0]
 	for _, s := range sinks {
 		if s == nil {
 			continue
@@ -337,7 +356,6 @@ func NewMux(sinks []Sink) *Mux {
 			m.enders = append(m.enders, e)
 		}
 	}
-	return m
 }
 
 // Wants reports whether any sink subscribed to k — the emission-site guard

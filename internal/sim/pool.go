@@ -9,8 +9,9 @@ package sim
 // program constructs, vector-clock backings, and the Result. RunPool keeps
 // all of that alive between runs and resets it instead:
 //
-//   - the runtime struct, its channels, scratch buffers, and seeded source
-//     are reused (reset, not reallocated);
+//   - the runtime struct, its channels, scratch buffers, event dispatch
+//     table (rebuilt in place for each run's sinks), and seeded source are
+//     reused (reset, not reallocated);
 //   - goroutine slot i always maps to the same G and the same parked host
 //     worker (allocG), so spawning is a field reset and the first token send
 //     re-enters a warm worker loop;

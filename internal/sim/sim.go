@@ -269,9 +269,12 @@ type runtime struct {
 	leakThreshold int64
 	runq          []*G // scratch buffer for dispatch's runnable scan
 	// mux fans the event stream out to Config.Sinks (nil when none —
-	// every emission site then reduces to one nil check); scratch is the
+	// every emission site then reduces to one nil check); muxBuf is the
+	// dispatch table behind it, rebuilt in place on every reset so a
+	// pooled runtime builds its per-kind lists once; scratch is the
 	// reused per-run event buffer, so emission never allocates.
 	mux     *event.Mux
+	muxBuf  *event.Mux
 	scratch event.Event
 	// sched accumulates the in-flight transition's footprint when some
 	// sink subscribed to SchedStep events; chooserCalls numbers Chooser
@@ -344,7 +347,14 @@ func (rt *runtime) reset(cfg Config) {
 			rt.leakThreshold = half
 		}
 	}
-	rt.mux = event.NewMux(cfg.Sinks)
+	rt.mux = nil
+	if len(cfg.Sinks) > 0 {
+		if rt.muxBuf == nil {
+			rt.muxBuf = &event.Mux{}
+		}
+		rt.muxBuf.Reset(cfg.Sinks)
+		rt.mux = rt.muxBuf
+	}
 	if rt.wants(event.Sched) {
 		if rt.sched == nil {
 			rt.sched = &schedState{}
