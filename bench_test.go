@@ -354,7 +354,9 @@ func BenchmarkDetectorComparison(b *testing.B) {
 // exist: one instrumented pass with race+vet+leak attached versus three
 // sequential single-detector runs of the same kernel. The printed per-kernel
 // table (the paper-figure kernels) is the "§ Detector pipeline" table in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. "sweep" is one serial, pooled detect.Sweep of b.N runs in
+// the shape of a fleet-sweep shard, so its per-op numbers are the per-run
+// cost of a sweep worker's reused pipeline, records included.
 func BenchmarkDetectorPipeline(b *testing.B) {
 	dets := []detect.Detector{
 		detect.MustLookup("race"), detect.MustLookup("vet"), detect.MustLookup("leak"),
@@ -403,6 +405,21 @@ func BenchmarkDetectorPipeline(b *testing.B) {
 				sequential(k)
 			}
 		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		k, _ := kernels.ByID("docker-abba-order")
+		shard, err := detect.Parse("race,vet,leak,cycle")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool := sim.NewRunPool()
+		defer pool.Close()
+		opts := detect.SweepOptions{Runs: 10, BaseSeed: 1, Config: k.Config(1), Workers: 1, Pool: pool}
+		detect.Sweep(k.Buggy, opts, shard...) // warm the pool
+		opts.Runs = b.N
+		b.ReportAllocs()
+		b.ResetTimer()
+		detect.Sweep(k.Buggy, opts, shard...)
 	})
 }
 

@@ -48,19 +48,26 @@ type Verdict struct {
 	Rules []string
 }
 
-// Instance is one attached detector for a single run. Kinds and Event
-// follow event.Sink; a Result-only detector (built-in deadlock, leak,
-// cycle analysis) returns nil from Kinds and is never dispatched to —
-// all its work happens in Finish.
+// Instance is one attached detector. Kinds and Event follow event.Sink; a
+// Result-only detector (built-in deadlock, leak, cycle analysis) returns nil
+// from Kinds and is never dispatched to — all its work happens in Finish.
+//
+// An instance is built once per sweep worker and serves all of that
+// worker's runs, one at a time: Reset runs before every run and must drop
+// all per-run state (vector clocks from different runs are incomparable),
+// so the instance judges each run exactly as a freshly built one would —
+// even when the previous run was cut short by a host panic. Finish judges
+// the run; the Verdict it returns must not alias memory the instance
+// reuses.
 type Instance interface {
 	Kinds() []event.Kind
 	Event(*event.Event)
+	Reset()
 	Finish(res *sim.Result) Verdict
 }
 
-// Detector is a registry entry: a name, a one-line description, and a
-// constructor for per-run instances (instances are single-run; vector
-// clocks from different runs are incomparable).
+// Detector is a registry entry: a name, a one-line description, and the
+// constructor of an instance (see Instance for its reuse across runs).
 type Detector struct {
 	Name string
 	Desc string
@@ -167,6 +174,93 @@ func (c *counted) Event(ev *event.Event) {
 	c.stat.Events++
 }
 
+// pipeline is one worker's detector set, built once and reset before every
+// run: the instances behind their counted wrappers, the run's sink list,
+// and scratch verdicts and stats that each run overwrites.
+type pipeline struct {
+	dets     []counted
+	sinks    []event.Sink
+	verdicts []Verdict
+	stats    []Stat
+}
+
+func newPipeline(dets []Detector) *pipeline {
+	p := &pipeline{
+		dets:     make([]counted, len(dets)),
+		verdicts: make([]Verdict, len(dets)),
+		stats:    make([]Stat, len(dets)),
+	}
+	for i, d := range dets {
+		p.dets[i] = counted{inst: d.New(), stat: Stat{Detector: d.Name}}
+	}
+	return p
+}
+
+// begin resets every instance and its counters and returns the run's sinks:
+// base (the caller's Config.Sinks), then rec when non-nil (a trace
+// recorder), then the detectors. The slice is the pipeline's and is rebuilt
+// by the next begin.
+func (p *pipeline) begin(base []event.Sink, rec event.Sink) []event.Sink {
+	p.sinks = append(p.sinks[:0], base...)
+	if rec != nil {
+		p.sinks = append(p.sinks, rec)
+	}
+	for i := range p.dets {
+		c := &p.dets[i]
+		c.inst.Reset()
+		c.stat.Events, c.stat.Elapsed = 0, 0
+		p.sinks = append(p.sinks, c)
+	}
+	return p.sinks
+}
+
+// finish judges res with every instance into p.verdicts and p.stats.
+func (p *pipeline) finish(res *sim.Result) {
+	for i := range p.dets {
+		c := &p.dets[i]
+		start := time.Now()
+		p.verdicts[i] = c.inst.Finish(res)
+		c.stat.Elapsed += time.Since(start)
+		p.stats[i] = c.stat
+	}
+}
+
+// run executes prog once under cfg with rec and the detectors attached
+// after cfg.Sinks, on pool when non-nil (the Result is then the pool's,
+// valid until its next run), and judges the result into p.verdicts and
+// p.stats.
+func (p *pipeline) run(pool *sim.RunPool, cfg sim.Config, prog sim.Program, rec event.Sink) *sim.Result {
+	cfg.Sinks = p.begin(cfg.Sinks, rec)
+	var res *sim.Result
+	if pool != nil {
+		res = pool.Run(cfg, prog)
+	} else {
+		res = sim.Run(cfg, prog)
+	}
+	p.finish(res)
+	return res
+}
+
+// record copies the last run's verdicts and event counts out of the
+// scratch buffers into run's sweep record.
+func (p *pipeline) record(run int, seed int64) *sweepRecord {
+	rec := &sweepRecord{
+		Run: run, Seed: seed,
+		Verdicts: append([]Verdict(nil), p.verdicts...),
+		Events:   make([]int64, len(p.stats)),
+	}
+	for di, st := range p.stats {
+		rec.Events[di] = st.Events
+	}
+	return rec
+}
+
+// report hands the last run's result to a Report. The Report takes the
+// scratch buffers, so the pipeline must not run again.
+func (p *pipeline) report(res *sim.Result, elapsed time.Duration) *Report {
+	return &Report{Result: res, Verdicts: p.verdicts, Stats: p.stats, Elapsed: elapsed}
+}
+
 // Report is the outcome of one single-pass instrumented run.
 type Report struct {
 	Result   *sim.Result
@@ -200,43 +294,10 @@ func (r *Report) Detected() bool {
 // event stream — each event is produced once and fanned out by the mux —
 // then collects the verdicts. Sinks already present in cfg are kept.
 func RunAll(cfg sim.Config, prog sim.Program, dets ...Detector) *Report {
-	return runAll(nil, cfg, prog, dets)
-}
-
-// runAll is RunAll with an optional recycled runtime. With a pool the
-// returned Report carries a cloned Result (the pooled one is only valid
-// until the pool's next run).
-func runAll(pool *sim.RunPool, cfg sim.Config, prog sim.Program, dets []Detector) *Report {
-	insts := make([]*counted, len(dets))
-	// Full slice expression: never grow a caller-owned backing array.
-	sinks := cfg.Sinks[:len(cfg.Sinks):len(cfg.Sinks)]
-	for i, d := range dets {
-		insts[i] = &counted{inst: d.New(), stat: Stat{Detector: d.Name}}
-		sinks = append(sinks, insts[i])
-	}
-	cfg.Sinks = sinks
+	p := newPipeline(dets)
 	start := time.Now()
-	var res *sim.Result
-	if pool != nil {
-		res = pool.Run(cfg, prog)
-	} else {
-		res = sim.Run(cfg, prog)
-	}
-	rep := &Report{Result: res}
-	for _, c := range insts {
-		fs := time.Now()
-		v := c.inst.Finish(res)
-		c.stat.Elapsed += time.Since(fs)
-		rep.Verdicts = append(rep.Verdicts, v)
-		rep.Stats = append(rep.Stats, c.stat)
-	}
-	rep.Elapsed = time.Since(start)
-	if pool != nil {
-		// The pooled Result is recycled on the pool's next run; the report
-		// keeps a private copy.
-		rep.Result = res.Clone()
-	}
-	return rep
+	res := p.run(nil, cfg, prog, nil)
+	return p.report(res, time.Since(start))
 }
 
 // SweepOptions configures a multi-seed sweep.
@@ -420,35 +481,38 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 	// records entries are immutable once stored.
 	var mu sync.Mutex
 	elapsed := make([]time.Duration, len(dets))
-	// Each worker owns a RunPool so back-to-back seeds recycle one runtime.
-	oneRun := func(pool *sim.RunPool, i int) {
+	// Each worker owns a RunPool and a pipeline, so back-to-back seeds
+	// recycle one runtime and one set of detector instances.
+	oneRun := func(pool *sim.RunPool, p *pipeline, i int) {
 		cfg := opts.Config
 		cfg.Seed = opts.BaseSeed + int64(i)
 		if opts.InjectorFor != nil {
 			cfg.Injector = opts.InjectorFor(i, cfg.Seed)
 		}
 		var rc *recording
+		var recSink event.Sink
 		if opts.RecordDir != "" {
-			rc = beginRecording(opts, i, &cfg)
-		}
-		var rep *Report
-		runErr := harness.Capture(i, cfg.Seed, func() { rep = runAll(pool, cfg, prog, dets) })
-		if rc != nil {
-			rc.finish(rep)
-		}
-		rec := &sweepRecord{Run: i, Seed: cfg.Seed, Err: runErr}
-		if runErr == nil {
-			rec.Verdicts = rep.Verdicts
-			rec.Events = make([]int64, len(dets))
-			for di := range dets {
-				rec.Events[di] = rep.Stats[di].Events
+			if rc = beginRecording(opts, i, cfg); rc != nil {
+				recSink = rc.rec
 			}
+		}
+		var res *sim.Result
+		runErr := harness.Capture(i, cfg.Seed, func() { res = p.run(pool, cfg, prog, recSink) })
+		if rc != nil {
+			// Before the next run: a pooled Result is recycled by it.
+			rc.finish(res)
+		}
+		var rec *sweepRecord
+		if runErr == nil {
+			rec = p.record(i, cfg.Seed)
+		} else {
+			rec = &sweepRecord{Run: i, Seed: cfg.Seed, Err: runErr}
 		}
 		mu.Lock()
 		records[i] = rec
-		if rep != nil {
+		if runErr == nil {
 			for di := range dets {
-				elapsed[di] += rep.Stats[di].Elapsed
+				elapsed[di] += p.stats[di].Elapsed
 			}
 		}
 		if lg != nil {
@@ -462,11 +526,12 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 			pool = sim.NewRunPool()
 			defer pool.Close()
 		}
+		p := newPipeline(dets)
 		for _, i := range worklist {
 			if ctx.Err() != nil {
 				break
 			}
-			oneRun(pool, i)
+			oneRun(pool, p, i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -477,8 +542,9 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 				defer wg.Done()
 				pool := sim.NewRunPool()
 				defer pool.Close()
+				p := newPipeline(dets)
 				for i := range next {
-					oneRun(pool, i)
+					oneRun(pool, p, i)
 				}
 			}()
 		}

@@ -48,6 +48,7 @@ type resultOnly struct {
 
 func (resultOnly) Kinds() []event.Kind              { return nil }
 func (resultOnly) Event(*event.Event)               {}
+func (resultOnly) Reset()                           {}
 func (r resultOnly) Finish(res *sim.Result) Verdict { return r.detect(res) }
 
 func builtinDetect(res *sim.Result) Verdict {
@@ -82,6 +83,7 @@ type raceInstance struct{ det *race.Detector }
 
 func (r *raceInstance) Kinds() []event.Kind   { return r.det.Kinds() }
 func (r *raceInstance) Event(ev *event.Event) { r.det.Event(ev) }
+func (r *raceInstance) Reset()                { r.det.Reset() }
 
 func (r *raceInstance) Finish(*sim.Result) Verdict {
 	v := Verdict{Detector: "race"}
@@ -100,6 +102,7 @@ type vetInstance struct{ mon *vet.Monitor }
 
 func (m *vetInstance) Kinds() []event.Kind   { return m.mon.Kinds() }
 func (m *vetInstance) Event(ev *event.Event) { m.mon.Event(ev) }
+func (m *vetInstance) Reset()                { m.mon.Reset() }
 
 func (m *vetInstance) Finish(*sim.Result) Verdict {
 	v := Verdict{Detector: "vet"}

@@ -32,6 +32,7 @@ type boomInstance struct{ pred func(seed int64) bool }
 
 func (b *boomInstance) Kinds() []event.Kind { return nil }
 func (b *boomInstance) Event(*event.Event)  {}
+func (b *boomInstance) Reset()              {}
 func (b *boomInstance) Finish(res *sim.Result) Verdict {
 	if b.pred(res.Seed) {
 		panic("detector bug: unhandled seed shape")
@@ -137,16 +138,15 @@ func TestSweepCheckpointResumeFoldsIdentically(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.json")
 	opts := SweepOptions{Runs: 40, BaseSeed: 7, Workers: 1, Checkpoint: cp}
 
-	// Leg 1: cancel after ~15 runs via a counting detector constructor.
+	// Leg 1: cancel after ~15 runs via a detector counting its Finish calls.
 	ctx, cancel := context.WithCancel(context.Background())
 	executed := 0
-	counting := Detector{Name: race.Name, Desc: race.Desc, New: func() Instance {
+	counting := finishHook(race, func() {
 		executed++
 		if executed == 15 {
 			cancel()
 		}
-		return race.New()
-	}}
+	})
 	o1 := opts
 	o1.Context = ctx
 	partial := Sweep(hardenProg, o1, counting)
@@ -156,16 +156,13 @@ func TestSweepCheckpointResumeFoldsIdentically(t *testing.T) {
 
 	// Leg 2: resume from the checkpoint, no cancellation.
 	executed2 := 0
-	counting2 := Detector{Name: race.Name, Desc: race.Desc, New: func() Instance {
-		executed2++
-		return race.New()
-	}}
+	counting2 := finishHook(race, func() { executed2++ })
 	resumed := Sweep(hardenProg, opts, counting2)
 	if resumed.Completed != 40 {
 		t.Fatalf("resumed sweep completed %d of 40: %+v", resumed.Completed, resumed.Verdict)
 	}
 	if executed2 >= 40 {
-		t.Fatalf("resume re-executed everything (%d constructor calls); checkpoint was ignored", executed2)
+		t.Fatalf("resume re-executed everything (%d Finish calls); checkpoint was ignored", executed2)
 	}
 	if executed2+partial.Completed != 40 {
 		t.Fatalf("leg1 completed %d, leg2 executed %d; together they must cover exactly 40", partial.Completed, executed2)

@@ -30,15 +30,31 @@ func splitFrames(t testing.TB, body []byte) [][]byte {
 	return out
 }
 
-// countingDets wraps dets so every per-run instance construction of the
-// first detector is counted: one count per executed run.
+// hookedInstance calls onFinish before every Finish of the instance it
+// wraps.
+type hookedInstance struct {
+	Instance
+	onFinish func()
+}
+
+func (h hookedInstance) Finish(res *sim.Result) Verdict {
+	h.onFinish()
+	return h.Instance.Finish(res)
+}
+
+// finishHook wraps d so onFinish runs at every Finish: once per executed
+// run, however many runs one instance serves.
+func finishHook(d Detector, onFinish func()) Detector {
+	return Detector{Name: d.Name, Desc: d.Desc, New: func() Instance {
+		return hookedInstance{Instance: d.New(), onFinish: onFinish}
+	}}
+}
+
+// countingDets wraps dets so every Finish of the first detector is
+// counted: one count per executed run.
 func countingDets(n *atomic.Int64, dets ...Detector) []Detector {
 	out := append([]Detector(nil), dets...)
-	first := out[0]
-	out[0] = Detector{Name: first.Name, Desc: first.Desc, New: func() Instance {
-		n.Add(1)
-		return first.New()
-	}}
+	out[0] = finishHook(out[0], func() { n.Add(1) })
 	return out
 }
 

@@ -82,12 +82,11 @@ type pairKey struct {
 }
 
 // Detector observes instrumented accesses and accumulates race reports. It
-// is an event.Sink. A Detector is single-run, single-threaded state: create
-// one per sim.Run.
+// is an event.Sink. A Detector holds one run's single-threaded state: create
+// one per sim.Run, or Reset it between the runs of one host goroutine.
 type Detector struct {
 	shadowWords int
 	vars        map[int]*shadowState
-	varNames    map[int]string
 	reports     []Report
 	reported    map[pairKey]bool
 }
@@ -102,18 +101,31 @@ func New(shadowWords int) *Detector {
 	return &Detector{
 		shadowWords: shadowWords,
 		vars:        make(map[int]*shadowState),
-		varNames:    make(map[int]string),
 		reported:    make(map[pairKey]bool),
 	}
 }
 
+// Reset forgets everything the previous run recorded, so the detector
+// judges its next run exactly as a New one would: vector clocks from
+// different runs are incomparable. Shadow rings are emptied in place, so a
+// detector reset between runs of the same program stops allocating them.
+// Reports returned before the reset are overwritten by later ones.
+func (d *Detector) Reset() {
+	for _, st := range d.vars {
+		*st = shadowState{words: st.words[:0]}
+	}
+	clear(d.reported)
+	d.reports = d.reports[:0]
+}
+
 var _ event.Sink = (*Detector)(nil)
 
+// kinds is the detector's subscription, shared by every Detector.
+var kinds = []event.Kind{event.MemRead, event.MemWrite, event.MapRead, event.MapWrite}
+
 // Kinds implements event.Sink: the four memory-access kinds (plain Vars and
-// MapVars), nothing else.
-func (d *Detector) Kinds() []event.Kind {
-	return []event.Kind{event.MemRead, event.MemWrite, event.MapRead, event.MapWrite}
-}
+// MapVars), nothing else. The slice is shared; callers must not modify it.
+func (d *Detector) Kinds() []event.Kind { return kinds }
 
 // Event implements event.Sink: the FastTrack-style check of one access
 // against every stored shadow word of its variable.
@@ -123,7 +135,6 @@ func (d *Detector) Event(ev *event.Event) {
 	if st == nil {
 		st = &shadowState{}
 		d.vars[ev.Var.ID] = st
-		d.varNames[ev.Var.ID] = ev.Var.Name
 	}
 	c := ev.VC.Get(ev.G)
 	// Same-epoch fast path: if the previous stored access came from this

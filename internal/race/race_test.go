@@ -1,6 +1,7 @@
 package race
 
 import (
+	"fmt"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -12,6 +13,38 @@ func runWith(seed int64, shadow int, prog sim.Program) (*Detector, *sim.Result) 
 	d := New(shadow)
 	res := sim.Run(sim.Config{Seed: seed, Sinks: []event.Sink{d}}, prog)
 	return d, res
+}
+
+// TestResetJudgesLikeNew: a detector Reset between runs reports, for every
+// run, exactly what a New detector reports. A kept dedup set would hide a
+// race the previous run already reported on the same variable and pair; a
+// kept shadow ring would invent races against the previous run's accesses.
+func TestResetJudgesLikeNew(t *testing.T) {
+	prog := func(tt *sim.T) {
+		x := sim.NewVar[int](tt, "x")
+		y := sim.NewVar[int](tt, "y")
+		mu := sim.NewMutex(tt, "mu")
+		tt.Go(func(ct *sim.T) {
+			x.Store(ct, 1)
+			mu.Lock(ct)
+			y.Store(ct, 1)
+			mu.Unlock(ct)
+		})
+		mu.Lock(tt)
+		y.Store(tt, 2)
+		mu.Unlock(tt)
+		x.Store(tt, 2)
+		tt.Sleep(10)
+	}
+	reused := New(0)
+	for seed := int64(0); seed < 20; seed++ {
+		reused.Reset()
+		sim.Run(sim.Config{Seed: seed, Sinks: []event.Sink{reused}}, prog)
+		fresh, _ := runWith(seed, 0, prog)
+		if got, want := fmt.Sprint(reused.Reports()), fmt.Sprint(fresh.Reports()); got != want {
+			t.Fatalf("seed %d: reset detector reported %s, a new one %s", seed, got, want)
+		}
+	}
 }
 
 func TestDetectsWriteWriteRace(t *testing.T) {

@@ -77,8 +77,9 @@ type waitRecord struct {
 	endVC hb.VC
 }
 
-// Monitor is the rule checker. Create one per run (single-run state, no
-// locking needed: the simulated runtime is sequential).
+// Monitor is the rule checker. It holds one run's state (no locking
+// needed: the simulated runtime is sequential): create one per run, or
+// Reset it between the runs of one host goroutine.
 type Monitor struct {
 	violations []Violation
 	waits      map[string][]*waitRecord // WaitGroup name -> waits seen
@@ -97,17 +98,29 @@ func New() *Monitor {
 	}
 }
 
+// Reset forgets everything the previous run recorded, so the monitor
+// judges its next run exactly as a New one would. Violations returned
+// before the reset are overwritten by later ones.
+func (m *Monitor) Reset() {
+	clear(m.waits)
+	clear(m.openWait)
+	clear(m.reported)
+	m.violations = m.violations[:0]
+}
+
 var _ event.Sink = (*Monitor)(nil)
+
+// kinds is the monitor's subscription, shared by every Monitor.
+var kinds = []event.Kind{
+	event.ChanSend, event.ChanRecv, event.ChanCloseClosed, event.ChanSendClosed,
+	event.ChanNil, event.SelectBlocking,
+	event.WGAdd, event.WGNegative, event.WGWaitStart, event.WGWaitEnd,
+}
 
 // Kinds implements event.Sink: only the rule-relevant kinds, so a vetted
 // run pays nothing for memory accesses, lock traffic, or scheduling events.
-func (m *Monitor) Kinds() []event.Kind {
-	return []event.Kind{
-		event.ChanSend, event.ChanRecv, event.ChanCloseClosed, event.ChanSendClosed,
-		event.ChanNil, event.SelectBlocking,
-		event.WGAdd, event.WGNegative, event.WGWaitStart, event.WGWaitEnd,
-	}
-}
+// The slice is shared; callers must not modify it.
+func (m *Monitor) Kinds() []event.Kind { return kinds }
 
 // Violations returns everything found, in detection order.
 func (m *Monitor) Violations() []Violation { return m.violations }

@@ -1,12 +1,40 @@
 package vet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"goconcbugs/internal/event"
 	"goconcbugs/internal/kernels"
 	"goconcbugs/internal/sim"
 )
+
+// TestResetJudgesLikeNew: a monitor Reset between runs reports, for every
+// run, exactly what a New monitor reports — a kept dedup set would hide the
+// previous run's violations, kept Wait records would invent new ones.
+func TestResetJudgesLikeNew(t *testing.T) {
+	prog := func(tt *sim.T) {
+		wg := sim.NewWaitGroup(tt, "wg")
+		ch := sim.NewChanNamed[int](tt, "ch", 0)
+		tt.Go(func(ct *sim.T) {
+			wg.Add(ct, 1)
+			wg.Done(ct)
+		})
+		wg.Wait(tt)
+		tt.Go(func(ct *sim.T) { ch.Close(ct) })
+		ch.Close(tt)
+	}
+	reused := New()
+	for seed := int64(0); seed < 20; seed++ {
+		reused.Reset()
+		sim.Run(sim.Config{Seed: seed, Sinks: []event.Sink{reused}}, prog)
+		fresh, _ := Check(sim.Config{Seed: seed}, prog)
+		if got, want := fmt.Sprint(reused.Violations()), fmt.Sprint(fresh.Violations()); got != want {
+			t.Fatalf("seed %d: reset monitor reported %s, a new one %s", seed, got, want)
+		}
+	}
+}
 
 func TestDoubleCloseFlagged(t *testing.T) {
 	m, res := Check(sim.Config{Seed: 1}, func(tt *sim.T) {

@@ -13,6 +13,9 @@
 #     detector attached)
 #   BenchmarkRaceDetectorOverhead/with-detector     - one native sink
 #   BenchmarkDetectorPipeline/single-pass           - full pipeline fan-out
+#   BenchmarkDetectorPipeline/sweep                 - per-run cost of a
+#     serial pooled sweep in the fleet-sweep shard shape (one worker's
+#     pipeline reset, not rebuilt, between runs)
 #   BenchmarkFaultInjection/off                     - fault hooks disabled
 #     (the nil-injector check at every instrumented primitive op must cost
 #     nothing when nobody asked for chaos)
@@ -46,7 +49,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=testdata/bench_baseline.txt
 SLACK_PCT=${BENCHGATE_SLACK_PCT:-15}
-BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/single-pass|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
+BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/(single-pass|sweep)$|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
 
 raw=$(go test -bench "$BENCHES" -benchtime 1000x -count 6 -benchmem -run '^$' . | grep -E '^Benchmark')
 
