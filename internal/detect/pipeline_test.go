@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"goconcbugs/internal/event"
 	"goconcbugs/internal/harness"
 	"goconcbugs/internal/inject"
 	"goconcbugs/internal/kernels"
@@ -103,4 +105,60 @@ func firstLogDiff(t *testing.T, got, want []byte, dets []Detector) string {
 		}
 	}
 	return fmt.Sprintf("%d records, want %d", len(g), len(w))
+}
+
+// exitBoomInstance panics on the GoExit events whose step satisfies pred: a
+// sink bug in a simulated goroutine's exit path, which runs after the
+// goroutine body's own recover.
+type exitBoomInstance struct{ pred func(step int64) bool }
+
+func (b *exitBoomInstance) Kinds() []event.Kind { return []event.Kind{event.GoExit} }
+func (b *exitBoomInstance) Event(ev *event.Event) {
+	if ev.Kind == event.GoExit && b.pred(ev.Step) {
+		panic(fmt.Sprintf("sink bug on GoExit at step %d", ev.Step))
+	}
+}
+func (b *exitBoomInstance) Reset()                         {}
+func (b *exitBoomInstance) Finish(res *sim.Result) Verdict { return Verdict{Detector: "exitboom"} }
+
+// TestSweepSurvivesExitPathPanic: a detector that panics while a goroutine
+// exits must fail only the run it panicked in. The panic reaches the
+// sweep's per-run capture, and the worker's next run starts on a clean
+// runtime, so the record log equals the one fresh per-seed runs give.
+func TestSweepSurvivesExitPathPanic(t *testing.T) {
+	var fired atomic.Int64
+	exitBoom := Detector{Name: "exitboom", Desc: "panics on chosen GoExit events", New: func() Instance {
+		return &exitBoomInstance{pred: func(step int64) bool {
+			if step%4 != 1 {
+				return false
+			}
+			fired.Add(1)
+			return true
+		}}
+	}}
+	dets := append(All(), exitBoom)
+	for _, k := range kernels.All() {
+		for _, fixed := range []bool{false, true} {
+			prog, name := k.Buggy, k.ID
+			if fixed {
+				prog, name = k.Fixed, k.ID+"/fixed"
+			}
+			opts := SweepOptions{Runs: 20, BaseSeed: 1, Config: k.Config(1)}
+			opts.Config.Name = name
+			want := freshLog(opts, prog, dets)
+			for _, workers := range []int{1, 4} {
+				o := opts
+				o.Workers = workers
+				o.Checkpoint = filepath.Join(t.TempDir(), fmt.Sprintf("w%d.log", workers))
+				Sweep(prog, o, dets...)
+				if got := readFile(t, o.Checkpoint); !bytes.Equal(got, want) {
+					t.Errorf("%s, %d workers: the record log differs from fresh per-seed runs: %s",
+						name, workers, firstLogDiff(t, got, want, dets))
+				}
+			}
+		}
+	}
+	if fired.Load() == 0 {
+		t.Fatal("the exit-path detector never panicked; the test checks nothing")
+	}
 }

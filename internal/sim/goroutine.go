@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/hb"
@@ -111,10 +113,11 @@ type blockInfo struct {
 	obj  string
 }
 
-// G is one simulated goroutine. With run pooling (RunPool), a G is a
-// long-lived slot: the same G — and its parked host worker goroutine — is
-// re-assigned a fresh identity by spawn on every run, so the resume channel,
-// clock backing, held-locks backing, and name caches all survive across runs.
+// G is one simulated goroutine, run by the worker coroutine w. With run
+// pooling (RunPool), a G is a long-lived slot: the same G — and its worker —
+// is re-assigned a fresh identity by spawn on every run, so the worker,
+// clock backing, held-locks backing, and name caches all survive across
+// runs.
 type G struct {
 	id           int
 	name         string
@@ -125,7 +128,7 @@ type G struct {
 	createdStep  int64
 	createdTime  int64
 	endTime      int64
-	resume       chan struct{}
+	w            *worker
 	vc           hb.VC
 	rt           *runtime
 	// blockKindOverride relabels blocking inside library code built on
@@ -214,8 +217,8 @@ func (rt *runtime) spawn(name string, fn Program) *G {
 }
 
 // allocG returns the G for the next slot in rt.gs. Slot i of a pooled
-// runtime always yields the same *G (and the same parked worker) run after
-// run: reset trims rt.gs to length 0 but keeps the backing, so the pointers
+// runtime always yields the same *G (and the same worker) run after run:
+// reset trims rt.gs to length 0 but keeps the backing, so the pointers
 // beyond the length survive and are picked back up here. A slot never
 // recycles within one run — a finished goroutine keeps its record until
 // finalize — so slot identity is exactly goroutine identity.
@@ -229,38 +232,99 @@ func (rt *runtime) allocG() *G {
 	} else {
 		rt.gs = append(rt.gs, nil)
 	}
-	g := &G{
-		// The CPU token travels through resume; capacity 1 lets a waker
-		// hand off and proceed to its own park without a rendezvous.
-		resume: make(chan struct{}, 1),
-		rt:     rt,
-	}
+	g := &G{rt: rt, w: getWorker()}
+	g.w.g = g
 	g.t = T{rt: rt, g: g}
-	rt.gs[len(rt.gs)-1] = g
-	go g.loop()
+	rt.gs[n] = g
 	return g
 }
 
-// loop is the persistent host worker behind one G slot. Each received token
-// is the first CPU token of one assignment (one run's goroutine body, or a
-// teardown kill for a goroutine that never got to run); the worker parks
-// here between runs and exits when the runtime closes the channel
-// (releaseWorkers / RunPool.Close).
-func (g *G) loop() {
-	for range g.resume {
-		g.runAssigned()
+// worker is the coroutine behind one G slot. The Run caller's loop resumes
+// it with the CPU token; it runs the slot's assignment (one run's goroutine
+// body, or a teardown kill for a goroutine that never got to run), yields
+// back to the loop whenever the goroutine parks, and yields again between
+// assignments. A worker no runtime owns waits on the idle list.
+type worker struct {
+	g      *G   // the slot served; nil while idle
+	busy   bool // inside an assignment, not parked between two
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
+	stop   func()
+}
+
+func newWorker() *worker {
+	w := new(worker)
+	w.resume, w.stop = iter.Pull(w.serve)
+	return w
+}
+
+// serve is the worker's coroutine body: one assignment per resume, until
+// stop makes a yield report false.
+func (w *worker) serve(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.busy = true
+		w.g.runAssigned()
+		w.busy = false
+		if !yield(struct{}{}) {
+			return
+		}
 	}
+}
+
+// maxIdleWorkers bounds the idle list. Parallel sweep workers build fresh
+// runtimes and pools all the time; the list lets them reuse coroutines (a
+// new one costs about a dozen allocations) without keeping an unbounded
+// number of parked goroutines alive.
+const maxIdleWorkers = 128
+
+// idle holds the workers no runtime owns, each parked between assignments:
+// releaseWorkers fills it and allocG draws from it. It is not a sync.Pool
+// because a coroutine is a parked goroutine, a GC root: a worker the pool
+// dropped would stay parked, and allocated, for the life of the process.
+var idle struct {
+	sync.Mutex
+	workers []*worker
+}
+
+// getWorker takes a worker off the idle list, or starts a new one.
+func getWorker() *worker {
+	idle.Lock()
+	if n := len(idle.workers); n > 0 {
+		w := idle.workers[n-1]
+		idle.workers[n-1] = nil
+		idle.workers = idle.workers[:n-1]
+		idle.Unlock()
+		return w
+	}
+	idle.Unlock()
+	return newWorker()
+}
+
+// putWorker returns a worker parked between assignments to the idle list,
+// or stops it when the list is full.
+func putWorker(w *worker) {
+	w.g = nil
+	idle.Lock()
+	if len(idle.workers) < maxIdleWorkers {
+		idle.workers = append(idle.workers, w)
+		idle.Unlock()
+		return
+	}
+	idle.Unlock()
+	w.stop()
 }
 
 // runAssigned executes the goroutine body assigned by spawn, reproducing the
 // exit protocol: hand the CPU token onward on normal or killed completion,
-// handshake with teardown on a kill sentinel, and crash the simulated
-// process on a simulated panic.
+// stop on a kill sentinel, and crash the simulated process on a simulated
+// panic. It recovers panics from the body only: a panic raised by the exit
+// path itself (a sink's GoExit handler, the dispatch that follows) escapes
+// the worker and reaches the Run caller, which discards the runtime.
 func (g *G) runAssigned() {
 	rt := g.rt
 	if rt.killing {
 		g.finalState = GAbandoned
-		rt.dead <- struct{}{}
 		return
 	}
 	defer func() {
@@ -273,7 +337,7 @@ func (g *G) runAssigned() {
 			if rt.wants(event.GoExit) {
 				rt.emit(g, event.Event{Kind: event.GoExit})
 			}
-			// Hand the CPU token onward; this worker then parks until
+			// Hand the CPU token onward; this worker then yields until
 			// its next assignment.
 			if next := rt.dispatch(); next != nil {
 				rt.wake(next)
@@ -282,7 +346,6 @@ func (g *G) runAssigned() {
 			}
 		case killSentinelType:
 			g.finalState = g.block.preTeardownState()
-			rt.dead <- struct{}{}
 		case *injectedKill:
 			// An injected FaultKill: the goroutine dies silently
 			// mid-protocol. Its held locks stay held and whatever
@@ -312,7 +375,6 @@ func (g *G) runAssigned() {
 			}
 			// A simulated panic crashes the whole simulated
 			// process, as an unrecovered panic would.
-			rt.stopping = true
 			rt.endRun()
 		default:
 			// A genuine bug in the harness or kernel code (a
@@ -322,7 +384,6 @@ func (g *G) runAssigned() {
 			g.state = GPanicked
 			g.finalState = GPanicked
 			rt.hostPanic = r
-			rt.stopping = true
 			rt.endRun()
 		}
 	}()
@@ -390,23 +451,24 @@ func (t *T) GoNamed(name string, fn Program) {
 	t.yield()
 }
 
-// park waits for the CPU token to come back. Every suspension funnels
-// through here so teardown can unwind cleanly.
+// park yields the CPU token back to the Run caller's loop and returns once
+// the loop resumes this goroutine. Every suspension funnels through here so
+// teardown, and the stop of a discarded runtime's workers, can unwind the
+// goroutine with the kill sentinel.
 func (t *T) park() {
-	<-t.g.resume
-	if t.rt.killing {
+	if !t.g.w.yield(struct{}{}) || t.rt.killing {
 		panic(killSentinel)
 	}
 }
 
-// reschedule runs one scheduler step on this goroutine's host thread and
-// transfers the CPU token to whoever was picked. It returns when this
-// goroutine is picked (immediately, without any host-level handoff, when the
-// pick continues the current goroutine).
+// reschedule runs one scheduler step on this goroutine's coroutine and
+// hands the CPU token to whoever was picked. It returns when this goroutine
+// is picked again (immediately, without any switch, when the pick continues
+// the current goroutine).
 func (t *T) reschedule() {
 	next := t.rt.dispatch()
 	if next == t.g {
-		return // continue running; zero host context switches
+		return // continue running; no coroutine switch
 	}
 	if next != nil {
 		t.rt.wake(next)

@@ -4,16 +4,17 @@ package sim
 //
 // Sweeps run the same program tens of thousands to millions of times with
 // only the seed (or the schedule prefix) changing. A fresh Run pays for the
-// whole world every time — the runtime struct, one host goroutine plus
-// resume channel per simulated goroutine, every mutex/channel/variable the
-// program constructs, vector-clock backings, and the Result. RunPool keeps
-// all of that alive between runs and resets it instead:
+// whole world every time — the runtime struct, one G per simulated
+// goroutine, every mutex/channel/variable the program constructs,
+// vector-clock backings, and the Result — and takes its worker coroutines
+// from the process-wide idle list. RunPool keeps all of that alive between
+// runs and resets it instead:
 //
-//   - the runtime struct, its channels, scratch buffers, event dispatch
-//     table (rebuilt in place for each run's sinks), and seeded source are
-//     reused (reset, not reallocated);
-//   - goroutine slot i always maps to the same G and the same parked host
-//     worker (allocG), so spawning is a field reset and the first token send
+//   - the runtime struct, its scratch buffers, event dispatch table
+//     (rebuilt in place for each run's sinks), and seeded source are reused
+//     (reset, not reallocated);
+//   - goroutine slot i always maps to the same G and the same worker
+//     coroutine (allocG), so spawning is a field reset and the first resume
 //     re-enters a warm worker loop;
 //   - primitives are recycled through a construction-order arena (arenaGet):
 //     the i-th primitive constructed by a run gets the i-th arena slot, so
@@ -26,7 +27,9 @@ package sim
 // discipline: exactly one party (the Run caller or one simulated goroutine)
 // touches runtime state at any moment, so the pool needs no locks — and,
 // for the same reason, a RunPool must NOT be shared between concurrent host
-// goroutines. Give each sweep worker its own pool.
+// goroutines. Give each sweep worker its own pool. (Only the idle list is
+// shared, under its own lock, and a pool touches it only when it grows a
+// slot and in Close.)
 //
 // Equivalence: a pooled run is observably identical to a fresh Run — same
 // Result, same event stream, same Chooser/Injector consultation sequence —
@@ -47,14 +50,18 @@ func NewRunPool() *RunPool { return &RunPool{} }
 // valid only until the next call to Run on this pool; use Result.Clone to
 // retain it.
 func (p *RunPool) Run(cfg Config, main Program) *Result {
-	if p.rt == nil {
-		p.rt = newRuntime(cfg)
-		p.rt.pooled = true
-	} else {
-		p.rt.reset(cfg)
-	}
 	rt := p.rt
+	if rt == nil {
+		rt = newRuntime(cfg)
+		rt.pooled = true
+	} else {
+		rt.reset(cfg)
+	}
+	// A panic out of execute discards the runtime; the pool then starts
+	// from scratch on its next Run.
+	p.rt = nil
 	rt.execute(main)
+	p.rt = rt
 	if rt.hostPanic != nil {
 		// Propagate host bugs like Run does; the pool stays usable (the
 		// next reset clears the wreckage).
@@ -65,10 +72,11 @@ func (p *RunPool) Run(cfg Config, main Program) *Result {
 	return rt.finalize()
 }
 
-// Close shuts down the pool's parked worker goroutines. The pool itself
+// Close returns the pool's worker coroutines to the idle list, which keeps
+// a bounded number for later runtimes and stops the rest. The pool itself
 // remains usable — the next Run simply starts from scratch — but Close must
-// be called (or the pool left for the GC along with its parked workers)
-// before discarding it; parked workers otherwise live as long as the
+// be called before dropping the pool: a worker is a parked goroutine, which
+// the GC never collects, so an unclosed pool's workers live as long as the
 // process.
 func (p *RunPool) Close() {
 	if p.rt != nil {

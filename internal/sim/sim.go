@@ -214,32 +214,50 @@ func (r *Result) Failed() bool {
 func Run(cfg Config, main Program) *Result {
 	rt := newRuntime(cfg)
 	rt.execute(main)
+	rt.releaseWorkers()
 	if rt.hostPanic != nil {
 		// A non-simulated panic in program code is a bug in the
 		// caller's code: propagate it on the caller's goroutine.
-		rt.releaseWorkers()
 		panic(rt.hostPanic)
 	}
-	res := rt.finalize()
-	rt.releaseWorkers()
-	return res
+	return rt.finalize()
 }
 
-// execute drives one run of main to completion: spawn, first dispatch, wait
-// for the end, unwind stragglers.
+// execute drives one run of main to completion: spawn, first dispatch, the
+// loop that resumes whichever goroutine holds the CPU token, and the
+// teardown of stragglers. A panic that escapes a worker (raised by a
+// goroutine's exit path, not its body) surfaces here, from the resume
+// call; the runtime is then discarded and the panic goes on to the caller.
 func (rt *runtime) execute(main Program) {
+	finished := false
+	defer func() {
+		if !finished {
+			rt.discard()
+		}
+	}()
 	rt.spawn("main", main)
 	// The first dispatch necessarily picks main (the only goroutine);
 	// after that, scheduling decisions execute inline on whichever
-	// simulated goroutine is handing off the CPU, and this caller simply
-	// waits for the run to end.
+	// simulated goroutine is handing off the CPU, and this caller only
+	// resumes the goroutine it picked.
 	if g := rt.dispatch(); g != nil {
 		rt.wake(g)
-	} else {
-		rt.endRun()
 	}
-	<-rt.done
+	rt.loop()
 	rt.teardown()
+	finished = true
+}
+
+// loop resumes whichever goroutine holds the CPU token until nobody does.
+// Each resume returns when that goroutine parks or finishes; a pick of
+// another goroutine is thus two coroutine switches, a yield to here and a
+// resume of the pick.
+func (rt *runtime) loop() {
+	for rt.next != nil {
+		g := rt.next
+		rt.next = nil
+		g.w.resume()
+	}
 }
 
 type runtime struct {
@@ -252,10 +270,8 @@ type runtime struct {
 	step          int64
 	timers        timerHeap
 	timerSeq      int64
-	done          chan struct{} // capacity 1; endRun -> Run caller
-	dead          chan struct{} // killed goroutine -> Run caller during teardown
+	next          *G // holder of the CPU token, for loop to resume; nil ends the loop
 	killing       bool
-	stopping      bool
 	outcome       Outcome
 	deadlockMsg   string
 	panics        []PanicInfo
@@ -298,17 +314,14 @@ type runtime struct {
 }
 
 func newRuntime(cfg Config) *runtime {
-	rt := &runtime{
-		done: make(chan struct{}, 1),
-		dead: make(chan struct{}),
-	}
+	rt := &runtime{}
 	rt.reset(cfg)
 	return rt
 }
 
 // reset prepares the runtime for a fresh run under cfg, recycling every
-// backing the previous run grew: the goroutine slots (and their parked
-// workers), the primitive arena, the timer heap, scratch buffers, and the
+// backing the previous run grew: the goroutine slots (and their workers),
+// the primitive arena, the timer heap, scratch buffers, and the
 // seeded source. It is the single initialization path — newRuntime calls it
 // on a zero runtime — so fresh and pooled runs cannot drift.
 func (rt *runtime) reset(cfg Config) {
@@ -320,7 +333,6 @@ func (rt *runtime) reset(cfg Config) {
 	rt.timers = rt.timers[:0]
 	rt.timerSeq = 0
 	rt.killing = false
-	rt.stopping = false
 	rt.outcome = OutcomeOK
 	rt.deadlockMsg = ""
 	rt.panics = rt.panics[:0]
@@ -366,17 +378,37 @@ func (rt *runtime) reset(cfg Config) {
 	}
 }
 
-// releaseWorkers shuts down the parked host workers behind every goroutine
-// slot. After it returns the runtime cannot run again; a plain Run calls it
-// before returning so no host goroutines outlive the call, and RunPool calls
-// it from Close.
+// releaseWorkers hands the workers behind every goroutine slot to the idle
+// list; each is parked between assignments once execute has returned.
+// After it the runtime cannot run again: a plain Run calls it at the end of
+// its run, and RunPool calls it from Close.
 func (rt *runtime) releaseWorkers() {
 	for _, g := range rt.gs[:cap(rt.gs)] {
-		if g != nil {
-			close(g.resume)
+		if g != nil && g.w != nil {
+			putWorker(g.w)
+			g.w = nil
 		}
 	}
-	rt.gs = nil
+}
+
+// discard stops every worker of a runtime that a panic left mid-run. A
+// worker parked in a goroutine body unwinds with the kill sentinel; none
+// returns to the idle list, and the runtime cannot run again. The run's
+// callbacks are detached first: an unwinding goroutine's deferred
+// primitive operations still schedule, and must not call back into the
+// sinks, chooser or injector that may have caused the panic.
+func (rt *runtime) discard() {
+	rt.killing = true
+	rt.mux, rt.sched = nil, nil
+	rt.cfg.Chooser, rt.cfg.Injector = nil, nil
+	// Index the slots afresh each time: a deferred spawn in an unwinding
+	// goroutine may add one.
+	for i := 0; i < cap(rt.gs); i++ {
+		if g := rt.gs[:cap(rt.gs)][i]; g != nil && g.w != nil {
+			g.w.stop()
+			g.w = nil
+		}
+	}
 }
 
 // wants reports whether some sink subscribed to k. Emission sites guard on
@@ -438,11 +470,12 @@ func (rt *runtime) random() *rand.Rand {
 // nil when the run is over (quiescent, deadlocked, or out of steps), with
 // rt.outcome/rt.deadlockMsg already recorded.
 //
-// Exactly one simulated goroutine executes at any moment — control moves by
-// direct handoff, so dispatch always runs on whichever host goroutine holds
-// the CPU token (the yielding/blocking/exiting goroutine, or the Run caller
-// for the first step). All simulated state is therefore free of host-level
-// data races by construction, without a scheduler goroutine in the middle.
+// Exactly one simulated goroutine executes at any moment, and dispatch
+// always runs on whichever party holds the CPU token (the yielding, blocking
+// or exiting goroutine's coroutine, or the Run caller for the first step).
+// Every handoff is a coroutine switch, which orders memory like a channel
+// handoff does, so all simulated state is free of host-level data races by
+// construction, without a scheduler goroutine in the middle.
 func (rt *runtime) dispatch() *G {
 	for {
 		if rt.step >= rt.maxSteps {
@@ -485,13 +518,11 @@ func (rt *runtime) dispatch() *G {
 	}
 }
 
-// endRun marks the run finished and releases the Run caller. The calling
-// simulated goroutine (if any) must park itself afterwards and touch no
-// shared runtime state: teardown runs concurrently on the caller's host
-// goroutine from here on. The buffered send (exactly one per run) keeps the
-// channel reusable across pooled runs, unlike a close.
+// endRun marks the run finished: nobody holds the CPU token, so the Run
+// caller's loop ends once the calling goroutine parks or finishes, and
+// teardown follows.
 func (rt *runtime) endRun() {
-	rt.done <- struct{}{}
+	rt.next = nil
 }
 
 // choose picks among n scheduling options, via the Chooser when one is
@@ -515,11 +546,11 @@ func (rt *runtime) choose(n, preferred int) int {
 	return rt.random().IntN(n)
 }
 
-// wake hands the CPU token to g. The caller must immediately park, exit, or
-// (for the Run caller) start waiting on rt.done.
+// wake hands the CPU token to g: the Run caller's loop resumes g next. A
+// calling goroutine must immediately park or finish its assignment.
 func (rt *runtime) wake(g *G) {
 	g.state = GRunning
-	g.resume <- struct{}{}
+	rt.next = g
 }
 
 // runnable collects the runnable goroutines into a scratch buffer that is
@@ -570,15 +601,26 @@ func (rt *runtime) deadlockReport(blocked []*G) string {
 	return msg
 }
 
-// teardown unwinds every still-parked simulated goroutine so that a Run
-// leaves no host goroutines behind.
+// teardown unwinds every still-parked simulated goroutine, so that every
+// worker ends the run parked between assignments. Each is resumed with
+// killing set and unwinds with the kill sentinel; a deferred primitive
+// operation on its way out still schedules and may hand the token on, so
+// the loop follows the token as during the run. Such a handoff can leave
+// the unwinding goroutine parked inside its deferred call; the second pass
+// resumes it until it is out, or the slot's next run would resume it.
 func (rt *runtime) teardown() {
 	rt.killing = true
 	for _, g := range rt.gs {
 		switch g.state {
 		case GRunnable, GBlocked:
-			g.resume <- struct{}{}
-			<-rt.dead
+			rt.next = g
+			rt.loop()
+		}
+	}
+	for _, g := range rt.gs {
+		for g.w.busy {
+			rt.next = g
+			rt.loop()
 		}
 	}
 }
@@ -586,7 +628,7 @@ func (rt *runtime) teardown() {
 func (rt *runtime) finalize() *Result {
 	// Deliver the final transition's metadata: no further pick will flush
 	// it. Safe here — finalize runs on Run's caller after every simulated
-	// goroutine has parked or exited. RunEnd then tells streaming sinks
+	// goroutine has been unwound. RunEnd then tells streaming sinks
 	// the event stream is complete.
 	rt.schedFlush()
 	if rt.mux != nil {

@@ -8,8 +8,11 @@ package sim_test
 // hardest case for slot/arena reuse).
 
 import (
+	"fmt"
 	"reflect"
+	gort "runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -133,4 +136,119 @@ func TestPooledResultCloneSurvivesRecycling(t *testing.T) {
 	if !reflect.DeepEqual(first, want) {
 		t.Fatalf("cloned Result mutated by later pooled runs:\n  got:  %+v\n  want: %+v", first, want)
 	}
+}
+
+// TestPooledMatchesFreshUnderAggressiveInjection repeats the sweep under
+// aggressive injection (kills, panics, early timeouts). Teardown then
+// unwinds goroutines through deferred primitive operations, which still
+// schedule and can hand the CPU token on mid-unwind; a goroutine left
+// parked inside such a deferred call must not resume in the pool's next
+// run. (docker-24007-double-close/fixed at seed 12 is one such run.)
+func TestPooledMatchesFreshUnderAggressiveInjection(t *testing.T) {
+	pool := sim.NewRunPool()
+	defer pool.Close()
+	opts := inject.Options{Seed: 1, Budget: 4, Aggressive: true}
+	seeds := int64(20)
+	if testing.Short() {
+		seeds = 13
+	}
+	for _, k := range kernels.All() {
+		for seed := range seeds {
+			injFor := func() sim.Injector { return inject.ForRun(opts, int(seed)) }
+			diffOne(t, pool, fmt.Sprintf("%s/buggy+aggressive seed %d", k.ID, seed), k.Config(seed), k.Buggy, injFor)
+			diffOne(t, pool, fmt.Sprintf("%s/fixed+aggressive seed %d", k.ID, seed), k.Config(seed), k.Fixed, injFor)
+		}
+	}
+}
+
+// escapeProgram has two goroutines; whichever exits first, the other is
+// parked inside its body at that moment.
+func escapeProgram(t *sim.T) {
+	ch := sim.NewChan[int](t, 0)
+	t.Go(func(ct *sim.T) { ch.Send(ct, 1) })
+	v, _ := ch.Recv(t)
+	t.Checkf(v == 1, "got %d", v)
+}
+
+// exitBoomSink panics on GoExit: a sink bug in a goroutine's exit path,
+// which runs after the goroutine body's own recover.
+type exitBoomSink struct{}
+
+func (exitBoomSink) Kinds() []event.Kind { return []event.Kind{event.GoExit} }
+func (exitBoomSink) Event(*event.Event)  { panic("sink bug on GoExit") }
+
+// TestEscapedPanicDiscardsRuntime: a panic raised in a goroutine's exit
+// path reaches the Run caller and discards the pool's runtime. The pool's
+// next run must equal a fresh Run of the same seed, and once the pool is
+// closed no goroutine of a broken run may remain parked in its body.
+func TestEscapedPanicDiscardsRuntime(t *testing.T) {
+	pool := sim.NewRunPool()
+	for seed := range int64(8) {
+		func() {
+			defer func() {
+				if r := recover(); r != "sink bug on GoExit" {
+					t.Fatalf("seed %d: recovered %v, want the sink's panic", seed, r)
+				}
+			}()
+			pool.Run(sim.Config{Seed: seed, Sinks: []event.Sink{exitBoomSink{}}}, escapeProgram)
+		}()
+		got := pool.Run(sim.Config{Seed: seed}, escapeProgram).Clone()
+		if want := sim.Run(sim.Config{Seed: seed}, escapeProgram); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: the pooled run after an escaped panic differs from a fresh run:\n  pooled: %+v\n  fresh:  %+v",
+				seed, got, want)
+		}
+	}
+	pool.Close()
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:gort.Stack(buf, true)]); strings.Contains(stacks, "escapeProgram") {
+		t.Errorf("a goroutine of a broken run is still parked in the program body:\n%s", stacks)
+	}
+}
+
+// TestConcurrentRunsMatchSerial: the idle list of worker coroutines is the
+// only runtime state that concurrent runs share. Eight host goroutines run
+// every kernel variant at once, half on fresh runtimes and half each on its
+// own pool, and every Result must equal the serial run's.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	type job struct {
+		label string
+		cfg   sim.Config
+		prog  sim.Program
+	}
+	var jobs []job
+	for _, k := range kernels.All() {
+		jobs = append(jobs, job{k.ID, k.Config(5), k.Buggy}, job{k.ID + "/fixed", k.Config(5), k.Fixed})
+	}
+	want := make([]*sim.Result, len(jobs))
+	for i, j := range jobs {
+		want[i] = sim.Run(j.cfg, j.prog)
+	}
+	const hosts = 8
+	var wg sync.WaitGroup
+	for h := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var pool *sim.RunPool
+			if h%2 == 1 {
+				pool = sim.NewRunPool()
+				defer pool.Close()
+			}
+			for n := range jobs {
+				// Each host goroutine starts at a different kernel.
+				i := (n + h*len(jobs)/hosts) % len(jobs)
+				var got *sim.Result
+				if pool != nil {
+					got = pool.Run(jobs[i].cfg, jobs[i].prog)
+				} else {
+					got = sim.Run(jobs[i].cfg, jobs[i].prog)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("host %d (pooled %v), %s: Result differs from the serial run\n  got:  %+v\n  want: %+v",
+						h, pool != nil, jobs[i].label, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
