@@ -23,6 +23,10 @@
 #     (recycled runtime on the same workload: must stay 0 allocs/op and
 #     beat the fresh-run lane by the ISSUE-6 margin)
 #   BenchmarkPooledRun/with-detector                - pooled + one sink
+#   BenchmarkPooledRun/kernels                      - every kernel variant,
+#     buggy and fixed, on one pool at one seed per op (the simulator's
+#     per-run cost on the real corpus, where goroutine switches dominate,
+#     rather than on the contended counter)
 #   BenchmarkTraceArchive/record                    - judged run + Recorder
 #     (the archive-while-sweeping lane; gated so codec changes cannot
 #     silently tax recording sweeps)
@@ -49,7 +53,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=testdata/bench_baseline.txt
 SLACK_PCT=${BENCHGATE_SLACK_PCT:-15}
-BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/(single-pass|sweep)$|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
+BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/(single-pass|sweep)$|BenchmarkFaultInjection/off|BenchmarkPooledRun/(no-sink|with-detector|kernels)$|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
 
 raw=$(go test -bench "$BENCHES" -benchtime 1000x -count 6 -benchmem -run '^$' . | grep -E '^Benchmark')
 
