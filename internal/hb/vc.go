@@ -43,25 +43,22 @@ const minPooledCap = 8
 // backingPool holds recycled backings; boxPool holds the empty *[]uint64
 // boxes they travel in, so neither Free nor newBacking allocates a box in
 // steady state (a slice passed to Put directly would be boxed into an
-// interface — a fresh allocation per call).
-var backingPool = sync.Pool{
-	New: func() any { return new([]uint64) },
-}
-
-var boxPool = sync.Pool{
-	New: func() any { return new([]uint64) },
-}
+// interface — a fresh allocation per call). Neither pool has a New: a miss
+// reads nil, so a backing-pool miss costs only the backing it then makes,
+// and a box is made only when Free finds none to reuse.
+var backingPool, boxPool sync.Pool
 
 // newBacking returns a length-n slice with undefined contents, reusing a
 // pooled backing when one is large enough. Callers must overwrite or zero
 // all n components.
 func newBacking(n int) []uint64 {
-	bp := backingPool.Get().(*[]uint64)
-	b := *bp
-	*bp = nil
-	boxPool.Put(bp)
-	if cap(b) >= n {
-		return b[:n]
+	if bp, _ := backingPool.Get().(*[]uint64); bp != nil {
+		b := *bp
+		*bp = nil
+		boxPool.Put(bp)
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
 	capacity := max(n, minPooledCap)
 	return make([]uint64, n, capacity)
@@ -182,7 +179,10 @@ func (vc *VC) free() {
 	if cap(vc.c) < minPooledCap {
 		return
 	}
-	bp := boxPool.Get().(*[]uint64)
+	bp, _ := boxPool.Get().(*[]uint64)
+	if bp == nil {
+		bp = new([]uint64)
+	}
 	*bp = vc.c[:0]
 	backingPool.Put(bp)
 }

@@ -2,6 +2,7 @@ package hb
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,24 @@ func TestJoinDominatedPathDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("equal-span Join allocated %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestPoolMissAllocatesOnce pins the cost of a backing-pool miss: one
+// allocation, the backing itself. It is not parallel, so no other test
+// frees backings into the pool while it measures; two collections empty
+// the pool (the first moves its contents to the victim cache, the second
+// drops them), and the clones are never freed, so every Clone misses.
+func TestPoolMissAllocatesOnce(t *testing.T) {
+	src := New()
+	src.Set(3, 1)
+	runtime.GC()
+	runtime.GC()
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = src.Clone()
+	})
+	if allocs != 1 {
+		t.Fatalf("Clone on an empty pool allocated %.1f times per op, want 1", allocs)
 	}
 }
 
