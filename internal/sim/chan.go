@@ -35,6 +35,16 @@ type waiter struct {
 	panicMsg string
 }
 
+// newWaiter returns the run's next waiter slot, reset for g parking in
+// direction dir. Slots are reused only from the next reset on (see the
+// runtime's entries field): a claimed select case stays queued until some
+// operation dequeues it.
+func (rt *runtime) newWaiter(g *G, dir int) *waiter {
+	w := nextSlot(&rt.waiters, &rt.waiterNext)
+	*w = waiter{g: g, dir: dir}
+	return w
+}
+
 // claimed reports whether this waiter can no longer be matched because its
 // select already completed through another case.
 func (w *waiter) claimed() bool { return w.sel != nil && w.sel.done }
@@ -43,7 +53,7 @@ func (w *waiter) claimed() bool { return w.sel != nil && w.sel.done }
 func (w *waiter) claim() {
 	if w.sel != nil {
 		w.sel.done = true
-		w.sel.chosen = w.caseIdx
+		w.sel.w = w
 	}
 }
 
@@ -184,7 +194,9 @@ func (c *chanCore) completeRecv(t *T) (any, bool) {
 		// A sender may be parked waiting for buffer space; admit it.
 		if w := dequeue(&c.sendq); w != nil {
 			w.claim()
+			// The snapshot moves to the buffered item, which frees it.
 			c.buf = append(c.buf, bufItem{val: w.val, vc: w.vcSnap})
+			w.vcSnap = hb.VC{}
 			c.rt.unblock(w.g)
 		}
 		if c.rt.wants(event.ChanRecvDone) {
@@ -239,7 +251,8 @@ func (c *chanCore) send(t *T, v any) {
 		c.completeSend(t, v)
 		return
 	}
-	w := &waiter{g: t.g, dir: dirSend, val: v, vcSnap: t.g.vc.Clone()}
+	w := t.rt.newWaiter(t.g, dirSend)
+	w.val, w.vcSnap = v, t.g.vc.Clone()
 	c.sendq = append(c.sendq, w)
 	t.block(BlockChanSend, c.name)
 	if w.panicMsg != "" {
@@ -269,7 +282,7 @@ func (c *chanCore) recv(t *T) (any, bool) {
 	if c.recvReady() {
 		return c.completeRecv(t)
 	}
-	w := &waiter{g: t.g, dir: dirRecv}
+	w := t.rt.newWaiter(t.g, dirRecv)
 	c.recvq = append(c.recvq, w)
 	t.block(BlockChanRecv, c.name)
 	return w.recvVal, w.recvOK

@@ -37,7 +37,7 @@ func NewChromeTraceSink(w io.Writer) *ChromeTraceSink {
 }
 
 // Kinds implements event.Sink: the same kinds TextTraceSink renders.
-func (s *ChromeTraceSink) Kinds() []event.Kind { return traceKinds() }
+func (s *ChromeTraceSink) Kinds() []event.Kind { return traceKinds }
 
 // Event implements event.Sink.
 func (s *ChromeTraceSink) Event(ev *event.Event) {

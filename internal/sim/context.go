@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -74,13 +73,14 @@ func WithValue(t *T, parent *Context, key string, value any) *Context {
 // orphans.
 func WithCancel(t *T, parent *Context) (*Context, CancelFunc) {
 	t.rt.nextSyncID++
+	id := int64(t.rt.nextSyncID)
 	ctx := &Context{
 		rt:     t.rt,
-		name:   fmt.Sprintf("context#%d", t.rt.nextSyncID),
-		done:   Chan[struct{}]{core: t.rt.newChanCore(fmt.Sprintf("ctx#%d.done", t.rt.nextSyncID), 0)},
+		name:   t.rt.nameOf(nameContext, id),
+		done:   Chan[struct{}]{core: t.rt.newChanCore(t.rt.nameOf(nameContextDone, id), 0)},
 		parent: parent,
 	}
-	cancelled := Chan[struct{}]{core: t.rt.newChanCore(ctx.name+".cancel", 0)}
+	cancelled := Chan[struct{}]{core: t.rt.newChanCore(t.rt.nameOf(nameContextCancel, id), 0)}
 	cancel := func(ct *T) {
 		ct.yield()
 		ct.touch(ObjChan, ctx.done.core.id, true)
@@ -93,7 +93,7 @@ func WithCancel(t *T, parent *Context) (*Context, CancelFunc) {
 		cancelled.core.closeFromRuntime(ct.g.vc)
 	}
 	if !parent.done.IsNil() {
-		t.GoNamed(ctx.name+".propagate", func(pt *T) {
+		t.GoNamed(t.rt.nameOf(nameContextProp, id), func(pt *T) {
 			Select(pt,
 				OnRecv(parent.done, func(struct{}, bool) {
 					if ctx.err == nil {
@@ -114,12 +114,8 @@ func WithTimeout(t *T, parent *Context, d time.Duration) (*Context, CancelFunc) 
 	ctx, cancel := WithCancel(t, parent)
 	vc := t.g.vc.Clone()
 	t.g.tick()
-	entry := t.rt.scheduleTimer(d, func() {
-		if ctx.err == nil {
-			ctx.err = ErrDeadlineExceeded
-			ctx.done.core.closeFromRuntime(vc)
-		}
-	})
+	entry := t.rt.scheduleTimer(d)
+	entry.action, entry.ctx, entry.vc = timerExpire, ctx, vc
 	return ctx, func(ct *T) {
 		entry.stopped = true
 		cancel(ct)

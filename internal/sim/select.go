@@ -7,9 +7,37 @@ import "goconcbugs/internal/event"
 // case is ready the runtime chooses uniformly at random — the source of the
 // non-determinism bugs in Section 6.1.2 (Figure 11).
 
+// selectOp is one blocked select; the case that completes it records its
+// waiter in w.
 type selectOp struct {
-	done   bool
-	chosen int
+	done bool
+	w    *waiter
+}
+
+// newSelect returns the run's next select slot, reset; slots are reused
+// like waiters, from the next reset on.
+func (rt *runtime) newSelect() *selectOp {
+	sel := nextSlot(&rt.selects, &rt.selectNext)
+	*sel = selectOp{}
+	return sel
+}
+
+// recvCallback is a receive case's callback; recvFunc adapts a typed one.
+// A func value is pointer-shaped, so storing it in the interface costs no
+// allocation, where a wrapping closure would.
+type recvCallback interface {
+	call(v any, ok bool)
+}
+
+type recvFunc[V any] func(v V, ok bool)
+
+func (f recvFunc[V]) call(v any, ok bool) {
+	if !ok || v == nil {
+		var zero V
+		f(zero, ok)
+		return
+	}
+	f(v.(V), ok)
 }
 
 // Case is one arm of a Select. Build cases with OnRecv, OnSend, and Default.
@@ -17,7 +45,7 @@ type Case struct {
 	core      *chanCore
 	dir       int
 	val       any
-	onRecv    func(v any, ok bool)
+	onRecv    recvCallback
 	onSend    func()
 	isDefault bool
 	onDefault func()
@@ -29,14 +57,7 @@ type Case struct {
 func OnRecv[V any](ch Chan[V], fn func(v V, ok bool)) Case {
 	c := Case{core: ch.core, dir: dirRecv, name: ch.Name()}
 	if fn != nil {
-		c.onRecv = func(v any, ok bool) {
-			if !ok || v == nil {
-				var zero V
-				fn(zero, ok)
-				return
-			}
-			fn(v.(V), ok)
-		}
+		c.onRecv = recvFunc[V](fn)
 	}
 	return c
 }
@@ -67,7 +88,8 @@ func Select(t *T, cases ...Case) int {
 	}
 	t.fault(SiteSelect, "select")
 	// Gather ready cases (nil-channel cases are never ready).
-	var ready []int
+	var readyBuf [8]int
+	ready := readyBuf[:0]
 	defaultIdx := -1
 	for i, c := range cases {
 		if c.isDefault {
@@ -100,14 +122,14 @@ func Select(t *T, cases ...Case) int {
 	}
 	// Nothing ready and no default: park on every (non-nil) channel.
 	t.emitObj(event.SelectBlocking, "select")
-	sel := &selectOp{chosen: -1}
-	ws := make([]*waiter, len(cases))
+	sel := t.rt.newSelect()
 	registered := false
 	for i, c := range cases {
 		if c.isDefault || c.core == nil {
 			continue
 		}
-		w := &waiter{g: t.g, dir: c.dir, sel: sel, caseIdx: i}
+		w := t.rt.newWaiter(t.g, c.dir)
+		w.sel, w.caseIdx = sel, i
 		if c.dir == dirSend {
 			w.val = c.val
 			w.vcSnap = t.g.vc.Clone()
@@ -115,7 +137,6 @@ func Select(t *T, cases ...Case) int {
 		} else {
 			c.core.recvq = append(c.core.recvq, w)
 		}
-		ws[i] = w
 		registered = true
 	}
 	if !registered {
@@ -123,8 +144,8 @@ func Select(t *T, cases ...Case) int {
 		t.blockForever(BlockSelect, "select on nil channels only")
 	}
 	t.block(BlockSelect, "select")
-	idx := sel.chosen
-	w := ws[idx]
+	w := sel.w
+	idx := w.caseIdx
 	if w.panicMsg != "" {
 		t.Panicf("%s", w.panicMsg)
 	}
@@ -137,7 +158,7 @@ func Select(t *T, cases ...Case) int {
 		}
 	} else {
 		if c.onRecv != nil {
-			c.onRecv(w.recvVal, w.recvOK)
+			c.onRecv.call(w.recvVal, w.recvOK)
 		}
 	}
 	return idx
@@ -154,6 +175,6 @@ func runCase(t *T, c Case) {
 	}
 	v, ok := c.core.completeRecv(t)
 	if c.onRecv != nil {
-		c.onRecv(v, ok)
+		c.onRecv.call(v, ok)
 	}
 }

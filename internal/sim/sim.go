@@ -52,6 +52,7 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"time"
 
 	"goconcbugs/internal/event"
@@ -245,7 +246,23 @@ func (rt *runtime) execute(main Program) {
 	}
 	rt.loop()
 	rt.teardown()
+	rt.releaseClocks()
 	finished = true
+}
+
+// releaseClocks returns to hb's pool the clock backings this run's timer
+// entries and waiters still own: each entry's published clock (a Timer's,
+// a Ticker's or WithTimeout's; a Ticker's re-arm moves it, so one entry
+// owns it), and each parked sender's snapshot that no receiver consumed
+// (a rendezvous frees the one it consumes, and admission to a buffer moves
+// it to the buffered item). After teardown nothing reads them.
+func (rt *runtime) releaseClocks() {
+	for _, e := range rt.entries[:rt.entryNext] {
+		e.vc.Free()
+	}
+	for _, w := range rt.waiters[:rt.waiterNext] {
+		w.vcSnap.Free()
+	}
 }
 
 // loop resumes whichever goroutine holds the CPU token until nobody does.
@@ -284,6 +301,25 @@ type runtime struct {
 	maxSteps      int64
 	leakThreshold int64
 	runq          []*G // scratch buffer for dispatch's runnable scan
+	blockq        []*G // scratch buffer for dispatch's blocked scan
+	// Per-run operation records, recycled like the arena: the i-th timer
+	// entry, waiter or select a run makes takes slot i, and reuse starts
+	// only at the next reset, never mid-run, because a stopped or fired
+	// Timer keeps its entry and a select's losing cases stay queued,
+	// claimed, until someone dequeues them.
+	entries    []*timerEntry
+	entryNext  int
+	waiters    []*waiter
+	waiterNext int
+	selects    []*selectOp
+	selectNext int
+	// report is the scratch buffer deadlockReport and checkFail render
+	// into; blk and lkd keep a pooled Result's Blocked and Leaked backings
+	// across runs whose Result shows them as nil.
+	report []byte
+	blk    []GoroutineInfo
+	lkd    []GoroutineInfo
+	names  map[nameKey]string // see nameOf
 	// mux fans the event stream out to Config.Sinks (nil when none —
 	// every emission site then reduces to one nil check); muxBuf is the
 	// dispatch table behind it, rebuilt in place on every reset so a
@@ -330,8 +366,12 @@ func (rt *runtime) reset(cfg Config) {
 	rt.gs = rt.gs[:0]
 	rt.now = 0
 	rt.step = 0
+	clear(rt.timers) // entries left pending by the last run
 	rt.timers = rt.timers[:0]
 	rt.timerSeq = 0
+	rt.entryNext = 0
+	rt.waiterNext = 0
+	rt.selectNext = 0
 	rt.killing = false
 	rt.outcome = OutcomeOK
 	rt.deadlockMsg = ""
@@ -567,13 +607,16 @@ func (rt *runtime) runnable() []*G {
 	return out
 }
 
+// blockedGs collects the blocked goroutines into a scratch buffer, as
+// runnable does.
 func (rt *runtime) blockedGs() []*G {
-	var out []*G
+	out := rt.blockq[:0]
 	for _, g := range rt.gs {
 		if g.state == GBlocked {
 			out = append(out, g)
 		}
 	}
+	rt.blockq = out
 	return out
 }
 
@@ -594,11 +637,17 @@ func (rt *runtime) allAsleepOnPrimitives(blocked []*G) bool {
 }
 
 func (rt *runtime) deadlockReport(blocked []*G) string {
-	msg := "fatal error: all goroutines are asleep - deadlock!"
+	b := append(rt.report[:0], "fatal error: all goroutines are asleep - deadlock!"...)
 	for _, g := range blocked {
-		msg += fmt.Sprintf("\ngoroutine %d [%s]: %s", g.id, g.block.kind, g.block.obj)
+		b = append(b, "\ngoroutine "...)
+		b = strconv.AppendInt(b, int64(g.id), 10)
+		b = append(b, " ["...)
+		b = append(b, g.block.kind.String()...)
+		b = append(b, "]: "...)
+		b = append(b, g.block.object()...)
 	}
-	return msg
+	rt.report = b
+	return string(b)
 }
 
 // teardown unwinds every still-parked simulated goroutine, so that every
@@ -641,7 +690,7 @@ func (rt *runtime) finalize() *Result {
 		// slice backings; the returned pointer is valid until the next
 		// RunPool.Run (Clone to retain).
 		res = &rt.res
-		gor, blk, lkd = res.Goroutines[:0], res.Blocked[:0], res.Leaked[:0]
+		gor, blk, lkd = res.Goroutines[:0], rt.blk[:0], rt.lkd[:0]
 	} else {
 		res = new(Result)
 	}
@@ -685,6 +734,10 @@ func (rt *runtime) finalize() *Result {
 	}
 	// Empty collections read as nil, as they always have: recycled backings
 	// must not surface as non-nil empty slices (JSON null vs [], DeepEqual).
+	// The runtime keeps the Blocked and Leaked backings for the next run.
+	if rt.pooled {
+		rt.blk, rt.lkd = res.Blocked, res.Leaked
+	}
 	if len(res.Blocked) == 0 {
 		res.Blocked = nil
 	}
@@ -704,17 +757,39 @@ func (rt *runtime) finalize() *Result {
 // RunPool that produced it.
 func (r *Result) Clone() *Result {
 	cp := *r
-	cp.Leaked = append([]GoroutineInfo(nil), r.Leaked...)
-	cp.Blocked = append([]GoroutineInfo(nil), r.Blocked...)
-	cp.Goroutines = append([]GoroutineInfo(nil), r.Goroutines...)
+	cp.Leaked = cloneInfos(r.Leaked)
+	cp.Blocked = cloneInfos(r.Blocked)
+	cp.Goroutines = cloneInfos(r.Goroutines)
 	cp.Panics = append([]PanicInfo(nil), r.Panics...)
 	cp.CheckFailures = append([]string(nil), r.CheckFailures...)
 	return &cp
 }
 
+// cloneInfos copies infos and each one's HeldLocks, which alias the
+// runtime's goroutine slots.
+func cloneInfos(infos []GoroutineInfo) []GoroutineInfo {
+	out := append([]GoroutineInfo(nil), infos...)
+	for i := range out {
+		if out[i].HeldLocks != nil {
+			out[i].HeldLocks = append([]string(nil), out[i].HeldLocks...)
+		}
+	}
+	return out
+}
+
+// checkFail records "g<id>(<name>) step <n>: <msg>", rendered into the
+// report scratch buffer so the failure costs one string.
 func (rt *runtime) checkFail(g *G, msg string) {
-	rt.checkFailures = append(rt.checkFailures,
-		fmt.Sprintf("g%d(%s) step %d: %s", g.id, g.name, rt.step, msg))
+	b := append(rt.report[:0], 'g')
+	b = strconv.AppendInt(b, int64(g.id), 10)
+	b = append(b, '(')
+	b = append(b, g.name...)
+	b = append(b, ") step "...)
+	b = strconv.AppendInt(b, rt.step, 10)
+	b = append(b, ": "...)
+	b = append(b, msg...)
+	rt.report = b
+	rt.checkFailures = append(rt.checkFailures, string(b))
 }
 
 // Duration re-exports time.Duration for virtual-time APIs so kernel code

@@ -44,8 +44,9 @@ var traceOps = [event.NumKinds]string{
 	event.GoBlockForever: "block-forever",
 }
 
-// traceKinds is the subscription of both trace sinks: every kind with an op.
-func traceKinds() []event.Kind {
+// traceKinds is the subscription of both trace sinks, every kind with an
+// op: one shared slice, since a pooled runtime asks for it on every run.
+var traceKinds = func() []event.Kind {
 	var out []event.Kind
 	for k, op := range traceOps {
 		if op != "" {
@@ -53,7 +54,7 @@ func traceKinds() []event.Kind {
 		}
 	}
 	return out
-}
+}()
 
 // appendDetail appends ev's trace annotation to buf and reports whether it
 // has one. Channel completions name their hand-off or rendezvous partner, a
@@ -138,7 +139,7 @@ func NewTextTraceSink(w io.Writer) *TextTraceSink {
 }
 
 // Kinds implements event.Sink.
-func (s *TextTraceSink) Kinds() []event.Kind { return traceKinds() }
+func (s *TextTraceSink) Kinds() []event.Kind { return traceKinds }
 
 // Event implements event.Sink.
 func (s *TextTraceSink) Event(ev *event.Event) {

@@ -180,8 +180,12 @@ type Recorder struct {
 	ended              bool
 }
 
+// allKinds is every recorder's subscription, shared: a pooled runtime asks
+// for it on every run.
+var allKinds = event.AllKinds()
+
 // Kinds implements event.Sink: a recorder archives the full stream.
-func (r *Recorder) Kinds() []event.Kind { return event.AllKinds() }
+func (r *Recorder) Kinds() []event.Kind { return allKinds }
 
 // Flag bits selecting which optional payload fields an event carries.
 const (
