@@ -16,8 +16,7 @@
 package deadlock
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"goconcbugs/internal/sim"
 )
@@ -50,7 +49,8 @@ func (Builtin) Detect(res *sim.Result) Verdict {
 // Leak is the goroutine-leak (partial deadlock) detector.
 type Leak struct{}
 
-// Detect flags any goroutine judged blocked forever.
+// Detect flags any goroutine judged blocked forever. The message is
+// rendered into a stack buffer, so a detected run costs one string.
 func (Leak) Detect(res *sim.Result) Verdict {
 	v := Verdict{Detector: "leak"}
 	if len(res.Leaked) == 0 {
@@ -58,14 +58,29 @@ func (Leak) Detect(res *sim.Result) Verdict {
 	}
 	v.Detected = true
 	v.Goroutines = res.Leaked
-	var b strings.Builder
-	fmt.Fprintf(&b, "goroutine leak: %d goroutine(s) blocked forever", len(res.Leaked))
-	for _, g := range res.Leaked {
-		fmt.Fprintf(&b, "\n  g%d(%s) blocked on %s (%s) since step %d",
-			g.ID, g.Name, g.BlockKind, g.BlockObj, g.BlockedSince)
-	}
-	v.Message = b.String()
+	var buf [512]byte
+	v.Message = string(appendLeak(buf[:0], res.Leaked))
 	return v
+}
+
+// appendLeak renders the leak message for leaked onto b.
+func appendLeak(b []byte, leaked []sim.GoroutineInfo) []byte {
+	b = append(b, "goroutine leak: "...)
+	b = strconv.AppendInt(b, int64(len(leaked)), 10)
+	b = append(b, " goroutine(s) blocked forever"...)
+	for _, g := range leaked {
+		b = append(b, "\n  g"...)
+		b = strconv.AppendInt(b, int64(g.ID), 10)
+		b = append(b, '(')
+		b = append(b, g.Name...)
+		b = append(b, ") blocked on "...)
+		b = append(b, g.BlockKind.String()...)
+		b = append(b, " ("...)
+		b = append(b, g.BlockObj...)
+		b = append(b, ") since step "...)
+		b = strconv.AppendInt(b, g.BlockedSince, 10)
+	}
+	return b
 }
 
 // BlockClass matches Table 6/8's root-cause columns for blocking bugs.

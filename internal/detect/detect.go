@@ -182,6 +182,12 @@ type pipeline struct {
 	sinks    []event.Sink
 	verdicts []Verdict
 	stats    []Stat
+	// The unused rests of the chunks sweep records and their Verdicts and
+	// Events are carved from (see record), and the size of the next chunk.
+	recs   []sweepRecord
+	vs     []Verdict
+	events []int64
+	chunk  int
 }
 
 func newPipeline(dets []Detector) *pipeline {
@@ -242,13 +248,22 @@ func (p *pipeline) run(pool *sim.RunPool, cfg sim.Config, prog sim.Program, rec 
 }
 
 // record copies the last run's verdicts and event counts out of the
-// scratch buffers into run's sweep record.
+// scratch buffers into run's sweep record. The record and its slices are
+// carved from chunks, each slot handed out once, so records stay immutable
+// and a run costs no allocation of its own; a chunk holds twice as many
+// runs as the one before, up to 256, so a short sweep wastes little.
 func (p *pipeline) record(run int, seed int64) *sweepRecord {
-	rec := &sweepRecord{
-		Run: run, Seed: seed,
-		Verdicts: append([]Verdict(nil), p.verdicts...),
-		Events:   make([]int64, len(p.stats)),
+	if len(p.recs) == 0 {
+		p.chunk = min(max(2*p.chunk, 4), 256)
+		n := len(p.verdicts) * p.chunk
+		p.recs = make([]sweepRecord, p.chunk)
+		p.vs, p.events = make([]Verdict, n), make([]int64, n)
 	}
+	n := len(p.verdicts)
+	rec := &p.recs[0]
+	*rec = sweepRecord{Run: run, Seed: seed, Verdicts: p.vs[:n:n], Events: p.events[:n:n]}
+	p.recs, p.vs, p.events = p.recs[1:], p.vs[n:], p.events[n:]
+	copy(rec.Verdicts, p.verdicts)
 	for di, st := range p.stats {
 		rec.Events[di] = st.Events
 	}

@@ -16,7 +16,7 @@ func init() {
 	Register(Detector{
 		Name: "builtin",
 		Desc: "Go's global runtime deadlock detector (Section 5.3)",
-		New:  func() Instance { return resultOnly{detect: builtinDetect} },
+		New:  func() Instance { return &resultOnly{name: "builtin", judge: builtinJudge} },
 	})
 	Register(Detector{
 		Name: "race",
@@ -26,7 +26,7 @@ func init() {
 	Register(Detector{
 		Name: "leak",
 		Desc: "goroutine-leak / partial-deadlock detector (Implication 4)",
-		New:  func() Instance { return resultOnly{detect: leakDetect} },
+		New:  func() Instance { return &resultOnly{name: "leak", judge: leakJudge} },
 	})
 	Register(Detector{
 		Name: "vet",
@@ -36,46 +36,53 @@ func init() {
 	Register(Detector{
 		Name: "cycle",
 		Desc: "lock wait-for-graph circular-wait analysis (Section 4)",
-		New:  func() Instance { return resultOnly{detect: cycleDetect} },
+		New:  func() Instance { return &resultOnly{name: "cycle", judge: cycleJudge} },
 	})
 }
 
 // resultOnly adapts a pure post-run analysis: no event kinds, all the work
-// in Finish.
+// in Finish. judge reports whether the run is detected and its message; a
+// detected run's one finding is that message.
 type resultOnly struct {
-	detect func(*sim.Result) Verdict
+	name  string
+	judge func(*sim.Result) (bool, string)
+	// findings is the unused rest of the chunk the verdicts' one-finding
+	// slices are carved from. A slot is handed out once, so no two
+	// verdicts share one.
+	findings []string
 }
 
-func (resultOnly) Kinds() []event.Kind              { return nil }
-func (resultOnly) Event(*event.Event)               {}
-func (resultOnly) Reset()                           {}
-func (r resultOnly) Finish(res *sim.Result) Verdict { return r.detect(res) }
+func (*resultOnly) Kinds() []event.Kind { return nil }
+func (*resultOnly) Event(*event.Event)  {}
+func (*resultOnly) Reset()              {}
 
-func builtinDetect(res *sim.Result) Verdict {
+func (r *resultOnly) Finish(res *sim.Result) Verdict {
+	detected, msg := r.judge(res)
+	v := Verdict{Detector: r.name, Detected: detected, Message: msg}
+	if detected {
+		if len(r.findings) == 0 {
+			r.findings = make([]string, 16)
+		}
+		v.Findings = r.findings[:1:1]
+		v.Findings[0] = msg
+		r.findings = r.findings[1:]
+	}
+	return v
+}
+
+func builtinJudge(res *sim.Result) (bool, string) {
 	d := deadlock.Builtin{}.Detect(res)
-	v := Verdict{Detector: "builtin", Detected: d.Detected, Message: d.Message}
-	if d.Detected {
-		v.Findings = []string{d.Message}
-	}
-	return v
+	return d.Detected, d.Message
 }
 
-func leakDetect(res *sim.Result) Verdict {
+func leakJudge(res *sim.Result) (bool, string) {
 	d := deadlock.Leak{}.Detect(res)
-	v := Verdict{Detector: "leak", Detected: d.Detected, Message: d.Message}
-	if d.Detected {
-		v.Findings = []string{d.Message}
-	}
-	return v
+	return d.Detected, d.Message
 }
 
-func cycleDetect(res *sim.Result) Verdict {
+func cycleJudge(res *sim.Result) (bool, string) {
 	c := deadlock.AnalyzeCircularity(res)
-	v := Verdict{Detector: "cycle", Detected: c.CircularWait, Message: c.Description}
-	if c.CircularWait {
-		v.Findings = []string{c.Description}
-	}
-	return v
+	return c.CircularWait, c.Description
 }
 
 // raceInstance wraps the happens-before detector (already a native sink).
