@@ -829,6 +829,27 @@ func BenchmarkEngineSubmit(b *testing.B) {
 			}
 		}
 	})
+	b.Run("fanout", func(b *testing.B) {
+		// kernel-mix's shape, a one-shot engine fanning each job over two
+		// sweep workers: per op, one 100-run race,vet,leak,cycle sweep and
+		// one 100-run plain job on a non-blocking kernel, so the plain
+		// job's race detector runs too.
+		e := engine.New(engine.Options{Workers: 1, SweepWorkers: 2})
+		defer e.Close()
+		jobs := []engine.Job{
+			{Kind: engine.KindSweep, Kernel: "cockroachdb-6111-status", Runs: 100, Seed: 1,
+				Detectors: []string{"race", "vet", "leak", "cycle"}},
+			{Kind: engine.KindRun, Kernel: "cockroachdb-6111-status", Runs: 100, Seed: 2},
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				if _, err := e.Submit(ctx, j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 	b.Run("coalesced", func(b *testing.B) {
 		// Hold the engine's only worker at the store-put barrier of a
 		// decoy job so the target ticket stays parked in the queue:

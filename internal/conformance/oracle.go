@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"goconcbugs/internal/event"
@@ -376,10 +375,11 @@ type SweepOptions struct {
 	Programs int
 	// BaseSeed is the first seed; program i uses BaseSeed+i.
 	BaseSeed int64
-	// Workers fans programs out over host goroutines (0 = the larger of 8
-	// and 2×GOMAXPROCS: hung host runs spend their time sleeping on the
-	// watchdog, so the sweep oversubscribes the CPUs). The per-program
-	// check stays serial either way; results are folded in seed order.
+	// Workers fans programs out over host goroutines, the caller among
+	// them (harness.ForEach; 0 = the larger of 8 and 2×GOMAXPROCS: hung
+	// host runs spend their time sleeping on the watchdog, so the sweep
+	// oversubscribes the CPUs). The per-program check stays serial either
+	// way; results are folded in seed order.
 	Workers int
 	// Check tunes each differential check.
 	Check CheckOptions
@@ -436,31 +436,16 @@ func Sweep(opts SweepOptions) *SweepStats {
 			workers = 8
 		}
 	}
-	if workers > opts.Programs {
-		workers = opts.Programs
-	}
 	results := make([]*CheckResult, opts.Programs)
 	errs := make([]*harness.RunError, opts.Programs)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				seed := opts.BaseSeed + int64(i)
-				errs[i] = harness.Capture(i, seed, func() {
-					results[i] = CheckSeed(seed, opts.Check)
-				})
-			}
-		}()
-	}
-	dispatched := 0
-	for ; dispatched < opts.Programs && ctx.Err() == nil; dispatched++ {
-		next <- dispatched
-	}
-	close(next)
-	wg.Wait()
+	harness.ForEach(ctx, opts.Programs, workers, func(_ int, claim func() (int, bool)) {
+		for i, ok := claim(); ok; i, ok = claim() {
+			seed := opts.BaseSeed + int64(i)
+			errs[i] = harness.Capture(i, seed, func() {
+				results[i] = CheckSeed(seed, opts.Check)
+			})
+		}
+	})
 
 	st := &SweepStats{Programs: opts.Programs, HostKinds: map[string]int{}, KindCoverage: map[StmtKind]int{}}
 	for i, r := range results {

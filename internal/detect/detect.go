@@ -324,8 +324,9 @@ type SweepOptions struct {
 	// Config is the per-run configuration (Seed is overwritten per run;
 	// Sinks present in it are kept on every run).
 	Config sim.Config
-	// Workers fans runs out over that many host goroutines (0 or negative
-	// = GOMAXPROCS, 1 = serial). Results fold in seed order either way.
+	// Workers fans runs out over that many host goroutines, the caller
+	// among them (0 or negative = GOMAXPROCS, 1 = serial). Results fold in
+	// seed order either way.
 	Workers int
 	// Context, when non-nil, bounds the sweep's wall-clock: once it is
 	// canceled (or its deadline expires) no new runs start, in-flight runs
@@ -353,12 +354,13 @@ type SweepOptions struct {
 	// Recording is best-effort with the same contract as Checkpoint: a
 	// write failure costs the archive entry, never the sweep.
 	RecordDir string
-	// Pool, when non-nil, is an external sim.RunPool the serial sweep path
-	// (Workers == 1) recycles runs through instead of creating its own —
-	// a job-engine worker executing many sweeps back to back keeps one
-	// warm runtime across all of them. The pool is single-owner and is NOT
-	// closed by Sweep; it is ignored when the sweep runs parallel workers
-	// (each worker owns a private pool either way).
+	// Pool, when non-nil, is an external sim.RunPool that the calling
+	// goroutine's runs recycle instead of a pool of their own. The caller
+	// is the only worker of a serial sweep and worker 0 of a parallel one
+	// (harness.ForEach), so a job-engine worker executing many sweeps back
+	// to back keeps one warm runtime across all of them. The pool is
+	// single-owner and is NOT closed by Sweep; the other workers of a
+	// parallel sweep each own a private pool.
 	Pool *sim.RunPool
 	// ShardCount and ShardIndex restrict the sweep to one contiguous block
 	// of the seed range: with ShardCount > 1, only runs in shard ShardIndex
@@ -536,6 +538,9 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		mu.Unlock()
 	}
 	if workers <= 1 {
+		// A plain loop rather than harness.ForEach, whose closures,
+		// cursor and WaitGroup would cost every serial sweep four
+		// allocations.
 		pool := opts.Pool
 		if pool == nil {
 			pool = sim.NewRunPool()
@@ -549,32 +554,21 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 			oneRun(pool, p, i)
 		}
 	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool := sim.NewRunPool()
+		harness.ForEach(ctx, len(worklist), workers, func(w int, claim func() (int, bool)) {
+			pool := opts.Pool
+			if w != 0 || pool == nil {
+				pool = sim.NewRunPool()
 				defer pool.Close()
-				p := newPipeline(dets)
-				for i := range next {
-					oneRun(pool, p, i)
-				}
-			}()
-		}
-		for _, i := range worklist {
-			if ctx.Err() != nil {
-				break
 			}
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+			p := newPipeline(dets)
+			for k, ok := claim(); ok; k, ok = claim() {
+				oneRun(pool, p, worklist[k])
+			}
+		})
 	}
 	if lg != nil {
-		// Every dispatched run has finished, and dispatch follows the
-		// worklist, so the log now holds every completed record.
+		// Every claimed run has finished, and claims follow the worklist,
+		// so the log now holds every completed record.
 		lg.close(records)
 	}
 

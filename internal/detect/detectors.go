@@ -47,9 +47,20 @@ type resultOnly struct {
 	name  string
 	judge func(*sim.Result) (bool, string)
 	// findings is the unused rest of the chunk the verdicts' one-finding
-	// slices are carved from. A slot is handed out once, so no two
-	// verdicts share one.
+	// slices are carved from (see carveFindings).
 	findings []string
+}
+
+// carveFindings returns a length-n slice carved from the front of *rest,
+// refilling *rest with a fresh chunk of at least 16 slots when it is too
+// short. A slot is handed out once, so no two verdicts share one.
+func carveFindings(rest *[]string, n int) []string {
+	if len(*rest) < n {
+		*rest = make([]string, max(16, n))
+	}
+	out := (*rest)[:n:n]
+	*rest = (*rest)[n:]
+	return out
 }
 
 func (*resultOnly) Kinds() []event.Kind { return nil }
@@ -60,12 +71,8 @@ func (r *resultOnly) Finish(res *sim.Result) Verdict {
 	detected, msg := r.judge(res)
 	v := Verdict{Detector: r.name, Detected: detected, Message: msg}
 	if detected {
-		if len(r.findings) == 0 {
-			r.findings = make([]string, 16)
-		}
-		v.Findings = r.findings[:1:1]
+		v.Findings = carveFindings(&r.findings, 1)
 		v.Findings[0] = msg
-		r.findings = r.findings[1:]
 	}
 	return v
 }
@@ -86,7 +93,12 @@ func cycleJudge(res *sim.Result) (bool, string) {
 }
 
 // raceInstance wraps the happens-before detector (already a native sink).
-type raceInstance struct{ det *race.Detector }
+type raceInstance struct {
+	det *race.Detector
+	// findings is the unused rest of the chunk the verdicts' Findings are
+	// carved from (see carveFindings).
+	findings []string
+}
 
 func (r *raceInstance) Kinds() []event.Kind   { return r.det.Kinds() }
 func (r *raceInstance) Event(ev *event.Event) { r.det.Event(ev) }
@@ -94,13 +106,16 @@ func (r *raceInstance) Reset()                { r.det.Reset() }
 
 func (r *raceInstance) Finish(*sim.Result) Verdict {
 	v := Verdict{Detector: "race"}
-	for _, rep := range r.det.Reports() {
-		v.Findings = append(v.Findings, rep.String())
+	reps := r.det.Reports()
+	if len(reps) == 0 {
+		return v
 	}
-	if len(v.Findings) > 0 {
-		v.Detected = true
-		v.Message = v.Findings[0]
+	v.Findings = carveFindings(&r.findings, len(reps))
+	for i, rep := range reps {
+		v.Findings[i] = rep.String()
 	}
+	v.Detected = true
+	v.Message = v.Findings[0]
 	return v
 }
 

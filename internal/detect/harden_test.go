@@ -92,6 +92,51 @@ func TestSweepCancellationReturnsPartial(t *testing.T) {
 	}
 }
 
+// cancelInstance cancels the sweep's context when it judges the run of
+// seed at: a cancellation that lands at a chosen point mid-sweep.
+type cancelInstance struct {
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelInstance) Kinds() []event.Kind { return nil }
+func (c *cancelInstance) Event(*event.Event)  {}
+func (c *cancelInstance) Reset()              {}
+func (c *cancelInstance) Finish(res *sim.Result) Verdict {
+	if res.Seed == c.at {
+		c.cancel()
+	}
+	return Verdict{Detector: "cancel"}
+}
+
+// TestSweepCancelLeavesSuffix: in a parallel sweep canceled mid-way, the
+// seeds never run form a suffix of the seed range: every canceled seed lies
+// above every completed one.
+func TestSweepCancelLeavesSuffix(t *testing.T) {
+	const runs, at = 400, 100
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	det := Detector{Name: "cancel", Desc: "cancels the sweep at one seed", New: func() Instance {
+		return &cancelInstance{at: at, cancel: cancel}
+	}}
+	rep := Sweep(hardenProg, SweepOptions{Runs: runs, Workers: 4, Context: ctx}, det)
+	canceled := map[int]bool{}
+	for _, inc := range rep.Incomplete {
+		if inc.Reason != harness.ReasonCanceled {
+			t.Fatalf("incomplete run %+v, want only canceled ones", inc)
+		}
+		canceled[inc.Run] = true
+	}
+	if rep.Completed <= at || len(canceled) == 0 {
+		t.Fatalf("completed %d, canceled %d: the cancel at run %d did not land mid-sweep", rep.Completed, len(canceled), at)
+	}
+	for run := 0; run < rep.Completed; run++ {
+		if canceled[run] {
+			t.Fatalf("run %d canceled below completed run %d", run, rep.Completed-1)
+		}
+	}
+}
+
 // TestSweepDeadlineReturnsPartial: a deadline mid-sweep folds what finished
 // and classifies the remainder as deadline-incomplete, within a bounded
 // return time (in-flight runs finish, they are microseconds each).

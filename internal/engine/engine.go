@@ -400,14 +400,15 @@ type VerdictStore interface {
 // Options configures New.
 type Options struct {
 	// Workers is the number of job-executing goroutines, each owning a
-	// sim.RunPool that serial sweeps recycle runs through. <= 0 means
+	// sim.RunPool that its sweeps' own runs recycle: a serial sweep runs
+	// on it entirely, a parallel one as its worker 0. <= 0 means
 	// GOMAXPROCS.
 	Workers int
 	// SweepWorkers is the per-job fan-out handed to the harnesses
 	// (detect.SweepOptions.Workers / explore.Options.Workers). 0 means
 	// GOMAXPROCS — right for a one-shot CLI running one job; a daemon
 	// running Workers jobs concurrently sets 1 so jobs, not runs, are the
-	// unit of parallelism (and per-worker pools actually get reused).
+	// unit of parallelism.
 	SweepWorkers int
 	// Store, when non-nil, is the persistent verdict cache. Leave it nil
 	// (the interface zero value, not a typed-nil pointer) to run uncached.

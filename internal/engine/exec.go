@@ -93,10 +93,7 @@ func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Re
 		Checkpoint:  job.Checkpoint,
 		RecordDir:   job.RecordDir,
 		Workers:     e.opts.SweepWorkers,
-	}
-	if e.opts.SweepWorkers == 1 {
-		// Serial sweeps recycle the worker's warm runtime.
-		opts.Pool = pool
+		Pool:        pool,
 	}
 	var sw *detect.SweepReport
 	var shardBytes []byte

@@ -11,7 +11,6 @@ package explore
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/harness"
@@ -34,10 +33,11 @@ type Options struct {
 	// ShadowWords is the per-variable shadow budget when WithRace is set
 	// (0 = the Go detector's 4; negative = unbounded).
 	ShadowWords int
-	// Workers fans the runs out over that many host goroutines (each
-	// simulated run is self-contained, so this is safe); 0 or negative
-	// uses GOMAXPROCS, 1 runs serially. Aggregation folds results in
-	// seed order, so the Stats are identical either way.
+	// Workers fans the runs out over that many host goroutines, the
+	// caller among them (harness.ForEach; each simulated run is
+	// self-contained, so this is safe); 0 or negative uses GOMAXPROCS, 1
+	// runs serially on the caller. Aggregation folds results in seed
+	// order, so the Stats are identical either way.
 	Workers int
 	// Context, when non-nil, stops dispatching new runs once canceled;
 	// in-flight runs finish and the partial Stats fold only completed runs
@@ -120,9 +120,6 @@ func Run(prog sim.Program, opts Options) *Stats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > opts.Runs {
-		workers = opts.Runs
-	}
 
 	ctx := opts.Context
 	if ctx == nil {
@@ -174,36 +171,13 @@ func Run(prog sim.Program, opts Options) *Stats {
 		}
 		outcomes[i] = out
 	}
-	if workers == 1 {
+	harness.ForEach(ctx, opts.Runs, workers, func(_ int, claim func() (int, bool)) {
 		pool := sim.NewRunPool()
 		defer pool.Close()
-		for i := 0; i < opts.Runs; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+		for i, ok := claim(); ok; i, ok = claim() {
 			oneRun(pool, i)
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool := sim.NewRunPool()
-				defer pool.Close()
-				for i := range next {
-					oneRun(pool, i)
-				}
-			}()
-		}
-		dispatched := 0
-		for ; dispatched < opts.Runs && ctx.Err() == nil; dispatched++ {
-			next <- dispatched
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 
 	st := &Stats{Runs: opts.Runs, FirstManifestRun: -1, FirstDetectedRun: -1, RacyVars: map[string]int{}}
 	for i := 0; i < opts.Runs; i++ {

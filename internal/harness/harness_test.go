@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -227,5 +233,165 @@ func TestShardPanicsOnBadIndex(t *testing.T) {
 			}()
 			Shard(10, bad[0], bad[1])
 		}()
+	}
+}
+
+// TestForEachHandsOutEveryItemOnce: every item is claimed exactly once, and
+// each of the min(workers, n) workers is called exactly once.
+func TestForEachHandsOutEveryItemOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 7, 1000} {
+			handed := make([]atomic.Int32, n)
+			called := make([]atomic.Int32, workers)
+			ForEach(context.Background(), n, workers, func(w int, claim func() (int, bool)) {
+				called[w].Add(1)
+				for i, ok := claim(); ok; i, ok = claim() {
+					handed[i].Add(1)
+				}
+			})
+			for i := range handed {
+				if c := handed[i].Load(); c != 1 {
+					t.Errorf("workers=%d n=%d: item %d handed out %d times", workers, n, i, c)
+				}
+			}
+			for w := range called {
+				want := int32(0)
+				if w < min(workers, n) {
+					want = 1
+				}
+				if c := called[w].Load(); c != want {
+					t.Errorf("workers=%d n=%d: worker %d called %d times, want %d", workers, n, w, c, want)
+				}
+			}
+		}
+	}
+}
+
+// TestForEachCancelLeavesSuffix: a cancel at a seeded item stops the claims
+// (no claim that starts after the cancel returned succeeds), the claimed
+// items are exactly [0, k) and every one of them finished.
+func TestForEachCancelLeavesSuffix(t *testing.T) {
+	const n = 500
+	for seed := uint64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0))
+		workers := 1 + r.IntN(4)
+		at := r.IntN(n)
+		ctx, cancel := context.WithCancel(context.Background())
+		var claimed, finished [n]atomic.Bool
+		var canceled atomic.Bool
+		ForEach(ctx, n, workers, func(_ int, claim func() (int, bool)) {
+			for {
+				after := canceled.Load()
+				i, ok := claim()
+				if !ok {
+					return
+				}
+				if after {
+					t.Errorf("seed %d: item %d claimed after the cancel", seed, i)
+				}
+				claimed[i].Store(true)
+				if i == at {
+					cancel()
+					canceled.Store(true)
+				}
+				runtime.Gosched()
+				finished[i].Store(true)
+			}
+		})
+		cancel()
+		k := 0
+		for k < n && claimed[k].Load() {
+			k++
+		}
+		for i := k; i < n; i++ {
+			if claimed[i].Load() {
+				t.Fatalf("seed %d: item %d claimed after the gap at %d", seed, i, k)
+			}
+		}
+		for i := 0; i < k; i++ {
+			if !finished[i].Load() {
+				t.Fatalf("seed %d: claimed item %d never finished", seed, i)
+			}
+		}
+		if k <= at {
+			t.Fatalf("seed %d: %d workers canceled at item %d claimed [0, %d)", seed, workers, at, k)
+		}
+	}
+}
+
+// goid returns the calling goroutine's ID from its stack header.
+func goid() int {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.Atoi(string(b[:bytes.IndexByte(b, ' ')]))
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestForEachCallerIsWorkerZero: worker 0 runs on the calling goroutine and
+// every other worker on a goroutine of its own, workers-1 of them at most.
+func TestForEachCallerIsWorkerZero(t *testing.T) {
+	caller := goid()
+	for _, workers := range []int{1, 2, 3, 8} {
+		var mu sync.Mutex
+		ids := map[int]int{}
+		ForEach(context.Background(), 100, workers, func(w int, claim func() (int, bool)) {
+			mu.Lock()
+			ids[w] = goid()
+			mu.Unlock()
+			for _, ok := claim(); ok; _, ok = claim() {
+			}
+		})
+		if ids[0] != caller {
+			t.Errorf("workers=%d: worker 0 ran on goroutine %d, the caller is %d", workers, ids[0], caller)
+		}
+		seen := map[int]bool{}
+		for w, id := range ids {
+			if w != 0 && (id == caller || seen[id]) {
+				t.Errorf("workers=%d: worker %d shares goroutine %d", workers, w, id)
+			}
+			seen[id] = true
+		}
+		if len(ids) != workers {
+			t.Errorf("workers=%d: %d workers called", workers, len(ids))
+		}
+	}
+}
+
+// TestForEachLeavesNoGoroutine: every worker has returned when ForEach
+// does, even when worker 0 panics, and the goroutine count settles back.
+func TestForEachLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, panics := range []bool{false, true} {
+		const workers = 8
+		var returned atomic.Int32
+		func() {
+			defer func() {
+				if v := recover(); (v != nil) != panics {
+					t.Errorf("panics=%v: recovered %v", panics, v)
+				}
+			}()
+			ForEach(context.Background(), 1000, workers, func(w int, claim func() (int, bool)) {
+				defer returned.Add(1)
+				for _, ok := claim(); ok; _, ok = claim() {
+					if panics && w == 0 {
+						panic("worker 0")
+					}
+					runtime.Gosched()
+				}
+			})
+		}()
+		if r := returned.Load(); r != workers {
+			t.Errorf("panics=%v: %d of %d workers had returned", panics, r, workers)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before ForEach, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -20,8 +20,8 @@
 package race
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/hb"
@@ -45,15 +45,39 @@ type Report struct {
 
 // String renders the report like a condensed `-race` diagnostic.
 func (r Report) String() string {
-	kind := func(w bool) string {
-		if w {
-			return "write"
-		}
-		return "read"
+	var buf [160]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends r's String rendering to b and returns the extended
+// buffer.
+func (r Report) AppendTo(b []byte) []byte {
+	b = append(b, "DATA RACE on "...)
+	b = append(b, r.Var...)
+	b = append(b, ": "...)
+	b = appendAccess(b, r.FirstWrite)
+	b = append(b, " by g"...)
+	b = strconv.AppendInt(b, int64(r.FirstG), 10)
+	// The epoch in hb.Epoch's "g@c" form.
+	b = append(b, " (epoch "...)
+	b = strconv.AppendInt(b, int64(r.FirstEpoch.G), 10)
+	b = append(b, '@')
+	b = strconv.AppendUint(b, r.FirstEpoch.C, 10)
+	b = append(b, ") vs "...)
+	b = appendAccess(b, r.SecondWrit)
+	b = append(b, " by g"...)
+	b = strconv.AppendInt(b, int64(r.SecondG), 10)
+	b = append(b, '(')
+	b = append(b, r.SecondName...)
+	b = append(b, ") at step "...)
+	return strconv.AppendInt(b, r.Step, 10)
+}
+
+func appendAccess(b []byte, write bool) []byte {
+	if write {
+		return append(b, "write"...)
 	}
-	return fmt.Sprintf("DATA RACE on %s: %s by g%d (epoch %s) vs %s by g%d(%s) at step %d",
-		r.Var, kind(r.FirstWrite), r.FirstG, r.FirstEpoch,
-		kind(r.SecondWrit), r.SecondG, r.SecondName, r.Step)
+	return append(b, "read"...)
 }
 
 // shadowWord is one remembered access.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"goconcbugs/internal/event"
+	"goconcbugs/internal/hb"
 	"goconcbugs/internal/sim"
 )
 
@@ -43,6 +44,33 @@ func TestResetJudgesLikeNew(t *testing.T) {
 		fresh, _ := runWith(seed, 0, prog)
 		if got, want := fmt.Sprint(reused.Reports()), fmt.Sprint(fresh.Reports()); got != want {
 			t.Fatalf("seed %d: reset detector reported %s, a new one %s", seed, got, want)
+		}
+	}
+}
+
+// TestReportStringFormat: the append-style rendering matches the
+// diagnostic's fmt form field for field.
+func TestReportStringFormat(t *testing.T) {
+	kind := func(w bool) string {
+		if w {
+			return "write"
+		}
+		return "read"
+	}
+	reps := []Report{
+		{Var: "x", FirstG: 2, FirstEpoch: hb.Epoch{G: 2, C: 7}, FirstWrite: true, SecondG: 1, SecondName: "main", Step: 42},
+		{Var: "replica.status", FirstG: 300, FirstEpoch: hb.Epoch{G: 300, C: 1 << 40}, SecondG: 12, SecondName: "worker", SecondWrit: true, Step: 1 << 33},
+		{},
+	}
+	for _, r := range reps {
+		want := fmt.Sprintf("DATA RACE on %s: %s by g%d (epoch %s) vs %s by g%d(%s) at step %d",
+			r.Var, kind(r.FirstWrite), r.FirstG, r.FirstEpoch,
+			kind(r.SecondWrit), r.SecondG, r.SecondName, r.Step)
+		if got := r.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(r.AppendTo([]byte("> "))); got != "> "+want {
+			t.Errorf("AppendTo = %q, want %q", got, "> "+want)
 		}
 	}
 }

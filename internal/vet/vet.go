@@ -75,6 +75,7 @@ func (v Violation) String() string {
 type waitRecord struct {
 	ended bool
 	endVC hb.VC
+	next  *waitRecord // the next record in the monitor's list
 }
 
 // Monitor is the rule checker. It holds one run's state (no locking
@@ -82,11 +83,18 @@ type waitRecord struct {
 // Reset it between the runs of one host goroutine.
 type Monitor struct {
 	violations []Violation
-	waits      map[string][]*waitRecord // WaitGroup name -> waits seen
-	openWait   map[string][]*waitRecord // waits currently blocked
-	// adds counts Add events per WaitGroup before any Wait, to suppress
-	// the common safe pattern.
+	// waits and openWait map a WaitGroup name to the waits seen and to
+	// those currently blocked. Reset truncates their slices rather than
+	// clearing the maps: nothing ranges over them but Reset, and an empty
+	// slice reads like an absent key.
+	waits    map[string][]*waitRecord
+	openWait map[string][]*waitRecord
 	reported map[string]bool
+	// waitList links every wait record this monitor has made, and free is
+	// the part of it the current run has not yet reused. Reset rewinds
+	// free, so each run reuses the records of earlier runs, with their
+	// clock backings.
+	waitList, free *waitRecord
 }
 
 // New creates a monitor.
@@ -102,10 +110,30 @@ func New() *Monitor {
 // judges its next run exactly as a New one would. Violations returned
 // before the reset are overwritten by later ones.
 func (m *Monitor) Reset() {
-	clear(m.waits)
-	clear(m.openWait)
+	for k, v := range m.waits {
+		m.waits[k] = v[:0]
+	}
+	for k, v := range m.openWait {
+		m.openWait[k] = v[:0]
+	}
 	clear(m.reported)
 	m.violations = m.violations[:0]
+	m.free = m.waitList
+}
+
+// newWait returns a cleared wait record, reusing one from an earlier run
+// when there is one.
+func (m *Monitor) newWait() *waitRecord {
+	rec := m.free
+	if rec == nil {
+		rec = &waitRecord{next: m.waitList}
+		m.waitList = rec
+		return rec
+	}
+	m.free = rec.next
+	rec.ended = false
+	rec.endVC.Reset()
+	return rec
 }
 
 var _ event.Sink = (*Monitor)(nil)
@@ -171,7 +199,7 @@ func (m *Monitor) report(ev *event.Event, rule Rule, warning bool, format string
 
 // Event implements event.Sink: the rule checks for one event. The live VC
 // and HeldLocks slices are only read during the call; a Wait's clock is
-// cloned before it is retained.
+// copied before it is retained.
 func (m *Monitor) Event(ev *event.Event) {
 	switch ev.Kind {
 	case event.ChanCloseClosed:
@@ -183,7 +211,7 @@ func (m *Monitor) Event(ev *event.Event) {
 	case event.WGNegative:
 		m.report(ev, RuleNegativeWaitGroup, false, "counter dropped to %d", ev.Counter)
 	case event.WGWaitStart:
-		rec := &waitRecord{}
+		rec := m.newWait()
 		m.waits[ev.Obj] = append(m.waits[ev.Obj], rec)
 		m.openWait[ev.Obj] = append(m.openWait[ev.Obj], rec)
 	case event.WGWaitEnd:
@@ -191,7 +219,9 @@ func (m *Monitor) Event(ev *event.Event) {
 		if len(open) > 0 {
 			rec := open[len(open)-1]
 			rec.ended = true
-			rec.endVC = ev.VC.Clone()
+			// newWait emptied the clock but kept its backing, so
+			// the join copies into that backing.
+			rec.endVC.Join(ev.VC)
 			m.openWait[ev.Obj] = open[:len(open)-1]
 		}
 	case event.WGAdd:

@@ -12,21 +12,25 @@ import (
 
 // TestResetJudgesLikeNew: a monitor Reset between runs reports, for every
 // run, exactly what a New monitor reports — a kept dedup set would hide the
-// previous run's violations, kept Wait records would invent new ones.
+// previous run's violations, kept Wait records would invent new ones. The
+// number of Waits varies by seed, so runs both reuse the records (and clock
+// backings) of earlier runs and make new ones.
 func TestResetJudgesLikeNew(t *testing.T) {
-	prog := func(tt *sim.T) {
-		wg := sim.NewWaitGroup(tt, "wg")
-		ch := sim.NewChanNamed[int](tt, "ch", 0)
-		tt.Go(func(ct *sim.T) {
-			wg.Add(ct, 1)
-			wg.Done(ct)
-		})
-		wg.Wait(tt)
-		tt.Go(func(ct *sim.T) { ch.Close(ct) })
-		ch.Close(tt)
-	}
 	reused := New()
 	for seed := int64(0); seed < 20; seed++ {
+		prog := func(tt *sim.T) {
+			wg := sim.NewWaitGroup(tt, "wg")
+			ch := sim.NewChanNamed[int](tt, "ch", 0)
+			for range 1 + seed%3 {
+				tt.Go(func(ct *sim.T) {
+					wg.Add(ct, 1)
+					wg.Done(ct)
+				})
+				wg.Wait(tt)
+			}
+			tt.Go(func(ct *sim.T) { ch.Close(ct) })
+			ch.Close(tt)
+		}
 		reused.Reset()
 		sim.Run(sim.Config{Seed: seed, Sinks: []event.Sink{reused}}, prog)
 		fresh, _ := Check(sim.Config{Seed: seed}, prog)

@@ -41,6 +41,12 @@
 #   BenchmarkStoreGet                               - raw verdict-store hit
 #     (must stay 0 allocs/op: the warm daemon rides it on every request)
 #
+# BenchmarkEngineSubmit/fanout (kernel-mix's shape: a one-shot engine fanning
+# each job over two sweep workers) is left ungated. Its allocs/op does not
+# repeat: which worker claims which runs depends on host scheduling, and a
+# worker that claims no run never warms its runtime. Six counts read
+# 1737-1738 allocs/op at -cpu 1, 1821-1836 at -cpu 2 and 1793-1804 at -cpu 4.
+#
 # The recorder-OFF guarantee rides on the existing rows: recording is a
 # plain event.Sink behind Config.Sinks, so with no RecordDir the hot path
 # is exactly the no-sink/without-detector lane gated above — any recorder
