@@ -108,9 +108,13 @@ func Names() []string {
 	return out
 }
 
-// Lookup finds a detector by name.
+// Lookup finds a detector by name. It searches the registry in place,
+// without All's copy: job validation and set-up look up every name of a
+// detector set.
 func Lookup(name string) (Detector, bool) {
-	for _, d := range All() {
+	regMu.Lock()
+	defer regMu.Unlock()
+	for _, d := range registry {
 		if d.Name == name {
 			return d, true
 		}
@@ -357,11 +361,17 @@ type SweepOptions struct {
 	// Pool, when non-nil, is an external sim.RunPool that the calling
 	// goroutine's runs recycle instead of a pool of their own. The caller
 	// is the only worker of a serial sweep and worker 0 of a parallel one
-	// (harness.ForEach), so a job-engine worker executing many sweeps back
-	// to back keeps one warm runtime across all of them. The pool is
-	// single-owner and is NOT closed by Sweep; the other workers of a
-	// parallel sweep each own a private pool.
+	// (harness.ForEach). The pool is single-owner and is NOT closed by
+	// Sweep.
 	Pool *sim.RunPool
+	// Crew, when non-nil, is the caller's persistent fan-out: worker w
+	// runs on the crew's slot w and recycles that slot's pool, slot 0
+	// (Crew.Own) being the caller's unless Pool is set. A job-engine
+	// worker executing many sweeps back to back thus keeps every worker's
+	// runtime warm and starts no goroutine per sweep. Nil means a crew of
+	// the sweep's own, closed before Sweep returns; Sweep does not close
+	// the caller's.
+	Crew *harness.Crew[*sim.RunPool]
 	// ShardCount and ShardIndex restrict the sweep to one contiguous block
 	// of the seed range: with ShardCount > 1, only runs in shard ShardIndex
 	// (per harness.Shard) execute, and the report folds that block alone.
@@ -538,10 +548,12 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		mu.Unlock()
 	}
 	if workers <= 1 {
-		// A plain loop rather than harness.ForEach, whose closures,
-		// cursor and WaitGroup would cost every serial sweep four
-		// allocations.
+		// A plain loop rather than a crew's ForEach, whose closures and
+		// cursor would cost every serial sweep allocations.
 		pool := opts.Pool
+		if pool == nil && opts.Crew != nil {
+			pool = opts.Crew.Own()
+		}
 		if pool == nil {
 			pool = sim.NewRunPool()
 			defer pool.Close()
@@ -554,11 +566,14 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 			oneRun(pool, p, i)
 		}
 	} else {
-		harness.ForEach(ctx, len(worklist), workers, func(w int, claim func() (int, bool)) {
-			pool := opts.Pool
-			if w != 0 || pool == nil {
-				pool = sim.NewRunPool()
-				defer pool.Close()
+		crew := opts.Crew
+		if crew == nil {
+			crew = harness.NewCrew(sim.NewRunPool, (*sim.RunPool).Close)
+			defer crew.Close()
+		}
+		crew.ForEach(ctx, len(worklist), workers, func(w int, pool *sim.RunPool, claim func() (int, bool)) {
+			if w == 0 && opts.Pool != nil {
+				pool = opts.Pool
 			}
 			p := newPipeline(dets)
 			for k, ok := claim(); ok; k, ok = claim() {

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"slices"
+
 	"goconcbugs/internal/deadlock"
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/race"
@@ -120,7 +122,14 @@ func (r *raceInstance) Finish(*sim.Result) Verdict {
 }
 
 // vetInstance wraps the rule monitor (already a native sink).
-type vetInstance struct{ mon *vet.Monitor }
+type vetInstance struct {
+	mon *vet.Monitor
+	// findings and rules are the unused rests of the chunks the verdicts'
+	// Findings and Rules are carved from (see carveFindings), and buf is
+	// the scratch a finding renders into.
+	findings, rules []string
+	buf             []byte
+}
 
 func (m *vetInstance) Kinds() []event.Kind   { return m.mon.Kinds() }
 func (m *vetInstance) Event(ev *event.Event) { m.mon.Event(ev) }
@@ -128,17 +137,24 @@ func (m *vetInstance) Reset()                { m.mon.Reset() }
 
 func (m *vetInstance) Finish(*sim.Result) Verdict {
 	v := Verdict{Detector: "vet"}
-	seen := map[string]bool{}
-	for _, viol := range m.mon.Violations() {
-		v.Findings = append(v.Findings, viol.String())
-		if !seen[string(viol.Rule)] {
-			seen[string(viol.Rule)] = true
-			v.Rules = append(v.Rules, string(viol.Rule))
+	viols := m.mon.Violations()
+	if len(viols) == 0 {
+		return v
+	}
+	v.Findings = carveFindings(&m.findings, len(viols))
+	// The distinct rules in order of first appearance; vet has six, so
+	// the scratch stays on the stack.
+	rules := make([]string, 0, 8)
+	for i, viol := range viols {
+		m.buf = viol.AppendTo(m.buf[:0])
+		v.Findings[i] = string(m.buf)
+		if !slices.Contains(rules, string(viol.Rule)) {
+			rules = append(rules, string(viol.Rule))
 		}
 	}
-	if len(v.Findings) > 0 {
-		v.Detected = true
-		v.Message = v.Findings[0]
-	}
+	v.Rules = carveFindings(&m.rules, len(rules))
+	copy(v.Rules, rules)
+	v.Detected = true
+	v.Message = v.Findings[0]
 	return v
 }

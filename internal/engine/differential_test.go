@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -156,6 +157,45 @@ func TestDifferentialFaultInjected(t *testing.T) {
 	}
 	if s := coalesce.Stats(); s.Executed != 1 {
 		t.Fatalf("coalesced engine executed %d times, want 1", s.Executed)
+	}
+}
+
+// TestCrewEngineMatchesFreshEngines runs every kernel variant as
+// interleaved run and sweep jobs, with and without faults, on one engine
+// whose crew keeps its helpers and their warm runtimes from job to job, and
+// requires each result's text to match a fresh engine's byte for byte.
+func TestCrewEngineMatchesFreshEngines(t *testing.T) {
+	ctx := context.Background()
+	dets := detect.Names()
+	var jobs []Job
+	for _, k := range kernels.All() {
+		for _, fixed := range []bool{false, true} {
+			for _, faults := range []int{0, 3} {
+				jobs = append(jobs,
+					Job{Kind: KindRun, Kernel: k.ID, Fixed: fixed, Runs: 10, Seed: 7, Faults: faults, FaultSeed: 5},
+					Job{Kind: KindSweep, Kernel: k.ID, Fixed: fixed, Runs: 10, Seed: 7, Faults: faults, FaultSeed: 5, Detectors: dets})
+			}
+		}
+	}
+	// Interleave kernels and kinds, so that each slot's runtime moves
+	// from program to program between jobs.
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
+	long := newEngine(t, Options{Workers: 1, SweepWorkers: 2})
+	for _, job := range jobs {
+		got, err := long.Submit(ctx, job)
+		if err != nil {
+			t.Fatalf("%s %s fixed=%v faults=%d: %v", job.Kind, job.Kernel, job.Fixed, job.Faults, err)
+		}
+		fresh := New(Options{Workers: 1, SweepWorkers: 2})
+		want, err := fresh.Submit(ctx, job)
+		fresh.Close()
+		if err != nil {
+			t.Fatalf("%s %s fixed=%v faults=%d on a fresh engine: %v", job.Kind, job.Kernel, job.Fixed, job.Faults, err)
+		}
+		if got.Text != want.Text {
+			t.Errorf("%s %s fixed=%v faults=%d: crew engine diverged from a fresh one:\n%s\nvs\n%s",
+				job.Kind, job.Kernel, job.Fixed, job.Faults, got.Text, want.Text)
+		}
 	}
 }
 

@@ -399,16 +399,19 @@ type VerdictStore interface {
 
 // Options configures New.
 type Options struct {
-	// Workers is the number of job-executing goroutines, each owning a
-	// sim.RunPool that its sweeps' own runs recycle: a serial sweep runs
-	// on it entirely, a parallel one as its worker 0. <= 0 means
-	// GOMAXPROCS.
+	// Workers is the number of job-executing goroutines. Each owns a
+	// fan-out crew (harness.Crew) for its lifetime, whose slots each keep
+	// a warm sim.RunPool across jobs: a serial sweep or run job runs
+	// entirely on slot 0, the worker's own, and a parallel one puts its
+	// worker w on slot w. <= 0 means GOMAXPROCS.
 	Workers int
 	// SweepWorkers is the per-job fan-out handed to the harnesses
 	// (detect.SweepOptions.Workers / explore.Options.Workers). 0 means
 	// GOMAXPROCS — right for a one-shot CLI running one job; a daemon
 	// running Workers jobs concurrently sets 1 so jobs, not runs, are the
-	// unit of parallelism.
+	// unit of parallelism. A crew starts its SweepWorkers-1 helper
+	// goroutines on its worker's first parallel job and keeps them until
+	// Close; with SweepWorkers 1 it starts none.
 	SweepWorkers int
 	// Store, when non-nil, is the persistent verdict cache. Leave it nil
 	// (the interface zero value, not a typed-nil pointer) to run uncached.
@@ -485,6 +488,11 @@ type Ticket struct {
 	state atomic.Int32
 	res   *Result
 	err   error
+	// key is the job's cache key and keyString its canonical string, ""
+	// when the job is not cacheable: built once at Enqueue, read by the
+	// worker to store the result and to drop the in-flight entry.
+	key       store.Key
+	keyString string
 
 	// cancelMu guards the cancel handshake between Cancel (any goroutine,
 	// any time) and the worker installing the job context's cancel func.
@@ -614,7 +622,7 @@ func (e *Engine) Enqueue(job Job) (*Ticket, error) {
 		}
 	}
 	e.nextID++
-	t := &Ticket{ID: fmt.Sprintf("j-%06d", e.nextID), Job: job, done: make(chan struct{})}
+	t := &Ticket{ID: fmt.Sprintf("j-%06d", e.nextID), Job: job, done: make(chan struct{}), key: key, keyString: ks}
 	if cacheable {
 		e.inflight[ks] = t
 	}
@@ -655,12 +663,15 @@ func (e *Engine) SubmitProgram(ctx context.Context, job Job, name string, prog s
 	return e.Submit(ctx, job)
 }
 
-// worker drains the queue. Each worker owns one RunPool for its lifetime, so
-// back-to-back serial sweeps recycle a single warm runtime.
+// worker drains the queue. Each worker owns one fan-out crew for its
+// lifetime: a serial job runs on the crew's slot 0, the worker's own warm
+// runtime, and a parallel one on as many slots as it fans out to, so
+// back-to-back jobs recycle warm runtimes and start no goroutine. The crew
+// starts its helpers on the first parallel job.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	pool := sim.NewRunPool()
-	defer pool.Close()
+	crew := harness.NewCrew(sim.NewRunPool, (*sim.RunPool).Close)
+	defer crew.Close()
 	for t := range e.queue {
 		e.mu.Lock()
 		t.state.Store(stateRunning)
@@ -669,24 +680,24 @@ func (e *Engine) worker() {
 
 		ctx, cancel := e.jobCtx(t.Job)
 		t.arm(cancel)
-		res, err := e.execute(ctx, pool, t.Job)
+		res, err := e.execute(ctx, crew, t.Job)
 		t.disarm()
 		cancel()
 
-		key, cacheable := t.Job.cacheKey()
+		cacheable := t.keyString != ""
 		if err == nil && cacheable && e.opts.Store != nil &&
 			res.Verdict.Status != harness.Incomplete {
 			if raw, merr := json.Marshal(cached{
 				Text: res.Text, Fired: res.Fired, Verdict: res.Verdict, Sweep: res.Sweep,
 			}); merr == nil {
 				// A failed put costs future warm hits, never this result.
-				_ = e.opts.Store.PutKey(key, raw)
+				_ = e.opts.Store.PutKey(t.key, raw)
 			}
 		}
 
 		e.mu.Lock()
 		if cacheable {
-			delete(e.inflight, key.String())
+			delete(e.inflight, t.keyString)
 		}
 		e.stats.Executed++
 		if err != nil {

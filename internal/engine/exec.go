@@ -20,12 +20,12 @@ import (
 // whether computed here, served from the store, or printed by a remote
 // client — the property the differential suite pins. ctx is the job's
 // execution context (engine lifetime + job deadline + ticket cancel).
-func (e *Engine) execute(ctx context.Context, pool *sim.RunPool, job Job) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, crew *harness.Crew[*sim.RunPool], job Job) (*Result, error) {
 	switch job.Kind {
 	case KindSweep:
-		return e.execSweep(ctx, pool, job)
+		return e.execSweep(ctx, crew, job)
 	case KindRun:
-		return e.execRun(ctx, job)
+		return e.execRun(ctx, crew, job)
 	case KindSystematic:
 		return e.execSystematic(ctx, job)
 	case KindConformance:
@@ -73,7 +73,7 @@ func firstLine(s string) string {
 
 // execSweep is the detector-pipeline job: a live sweep, an offline archive
 // replay, a single shard, or a shard fold, all folding the same report.
-func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Result, error) {
+func (e *Engine) execSweep(ctx context.Context, crew *harness.Crew[*sim.RunPool], job Job) (*Result, error) {
 	r, err := job.resolve()
 	if err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Re
 		Checkpoint:  job.Checkpoint,
 		RecordDir:   job.RecordDir,
 		Workers:     e.opts.SweepWorkers,
-		Pool:        pool,
+		Crew:        crew,
 	}
 	var sw *detect.SweepReport
 	var shardBytes []byte
@@ -177,7 +177,7 @@ func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Re
 // run-it-many-times protocol with manifestation oracles and, on
 // non-blocking kernels, the race detector; optionally also the usage-rule
 // checker over the same seeds.
-func (e *Engine) execRun(ctx context.Context, job Job) (*Result, error) {
+func (e *Engine) execRun(ctx context.Context, crew *harness.Crew[*sim.RunPool], job Job) (*Result, error) {
 	r, err := job.resolve()
 	if err != nil {
 		return nil, err
@@ -191,6 +191,7 @@ func (e *Engine) execRun(ctx context.Context, job Job) (*Result, error) {
 		Workers:     e.opts.SweepWorkers,
 		Context:     ctx,
 		InjectorFor: job.injectorFor(),
+		Crew:        crew,
 	})
 	label := job.variantLabel()
 	if inj := job.injOpts(); inj != nil {

@@ -11,6 +11,7 @@ package explore
 import (
 	"context"
 	"runtime"
+	"slices"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/harness"
@@ -28,7 +29,8 @@ type Options struct {
 	// Config is the per-run sim configuration (Seed and Sinks are
 	// overwritten per run).
 	Config sim.Config
-	// WithRace attaches a fresh race detector to every run.
+	// WithRace attaches the race detector to every run (one per worker,
+	// reset before each run).
 	WithRace bool
 	// ShadowWords is the per-variable shadow budget when WithRace is set
 	// (0 = the Go detector's 4; negative = unbounded).
@@ -47,6 +49,12 @@ type Options struct {
 	// run (injectors are stateful and single-run). The derivation must be
 	// a pure function of (run, seed) to keep the exploration replayable.
 	InjectorFor func(run int, seed int64) sim.Injector
+	// Crew, when non-nil, is the caller's persistent fan-out: worker w
+	// runs on the crew's slot w and recycles that slot's pool, slot 0
+	// being the caller's, so a job-engine worker keeps every worker's
+	// runtime warm across jobs. Nil means a crew of the exploration's own,
+	// closed before Run returns. Run does not close it.
+	Crew *harness.Crew[*sim.RunPool]
 }
 
 // Stats aggregates the outcomes of an exploration.
@@ -129,20 +137,18 @@ func Run(prog sim.Program, opts Options) *Stats {
 	// Pointers, not values: a huge Runs count must not pay for zeroing
 	// outcome structs it will never dispatch (nil = never dispatched).
 	outcomes := make([]*runOutcome, opts.Runs)
-	// Each worker owns a RunPool: the recycled runtime makes back-to-back
-	// seeds nearly allocation-free, and pools are single-owner by contract.
-	oneRun := func(pool *sim.RunPool, i int) {
+	// Each worker runs on its slot's RunPool, whose recycled runtime makes
+	// back-to-back seeds nearly allocation-free, and keeps one race
+	// detector, reset before each run; both are single-owner.
+	oneRun := func(pool *sim.RunPool, det *race.Detector, sinks []event.Sink, i int) {
 		cfg := opts.Config
 		cfg.Seed = opts.BaseSeed + int64(i)
 		if opts.InjectorFor != nil {
 			cfg.Injector = opts.InjectorFor(i, cfg.Seed)
 		}
-		var det *race.Detector
-		if opts.WithRace {
-			det = race.New(opts.ShadowWords)
-			// Fresh slice per run: workers must not share an appended-to
-			// backing array.
-			cfg.Sinks = []event.Sink{det}
+		if det != nil {
+			det.Reset()
+			cfg.Sinks = sinks
 		}
 		out := new(runOutcome)
 		out.err = harness.Capture(i, cfg.Seed, func() {
@@ -165,17 +171,27 @@ func Run(prog sim.Program, opts Options) *Stats {
 				out.checkSample = res.CheckFailures[0]
 			}
 		})
-		if det != nil && out.err == nil {
-			out.reports = det.Reports()
+		if det != nil && out.err == nil && len(det.Reports()) > 0 {
+			// The next Reset overwrites the reports: copy them out.
+			out.reports = slices.Clone(det.Reports())
 			out.racyVars = det.RacyVars()
 		}
 		outcomes[i] = out
 	}
-	harness.ForEach(ctx, opts.Runs, workers, func(_ int, claim func() (int, bool)) {
-		pool := sim.NewRunPool()
-		defer pool.Close()
+	crew := opts.Crew
+	if crew == nil {
+		crew = harness.NewCrew(sim.NewRunPool, (*sim.RunPool).Close)
+		defer crew.Close()
+	}
+	crew.ForEach(ctx, opts.Runs, workers, func(_ int, pool *sim.RunPool, claim func() (int, bool)) {
+		var det *race.Detector
+		var sinks []event.Sink
+		if opts.WithRace {
+			det = race.New(opts.ShadowWords)
+			sinks = []event.Sink{det}
+		}
 		for i, ok := claim(); ok; i, ok = claim() {
-			oneRun(pool, i)
+			oneRun(pool, det, sinks, i)
 		}
 	})
 

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -238,44 +236,4 @@ func Shard(n, count, index int) (lo, hi int) {
 		n = 0
 	}
 	return n * index / count, n * (index + 1) / count
-}
-
-// ForEach hands the items 0, 1, ..., n-1 out to workers and returns once
-// every worker has returned. The calling goroutine is worker 0; ForEach
-// starts min(workers, n)-1 more goroutines (none when workers <= 1), calling
-// worker(w, claim) once on each. A worker keeps its own state (a runtime, a
-// detector pipeline) in that call and loops on claim, which returns the next
-// item, or false once all are taken or ctx is done.
-//
-// Items are claimed in ascending order through one atomic cursor, and ctx is
-// checked before each claim, so the claimed items are always a prefix
-// [0, k) of the range: a cancellation leaves the never-claimed items as a
-// suffix. A worker must finish every item it has claimed.
-func ForEach(ctx context.Context, n, workers int, worker func(w int, claim func() (int, bool))) {
-	if n <= 0 {
-		return
-	}
-	workers = max(1, min(workers, n))
-	var next atomic.Int64
-	claim := func() (int, bool) {
-		if ctx.Err() != nil {
-			return 0, false
-		}
-		if i := next.Add(1) - 1; i < int64(n) {
-			return int(i), true
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	// Deferred, so that no worker outlives the call even when worker 0
-	// panics.
-	defer wg.Wait()
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(w, claim)
-		}()
-	}
-	worker(0, claim)
 }

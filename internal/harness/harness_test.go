@@ -395,3 +395,227 @@ func TestForEachLeavesNoGoroutine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestCrewHandsOutEveryItemOnce: on one long-lived crew, 1000 back-to-back
+// calls with varying n and worker counts each hand out every item exactly
+// once and call each of their min(workers, n) workers exactly once.
+func TestCrewHandsOutEveryItemOnce(t *testing.T) {
+	c := NewCrew[struct{}](nil, nil)
+	defer c.Close()
+	r := rand.New(rand.NewPCG(1, 0))
+	for call := 0; call < 1000; call++ {
+		n, workers := r.IntN(60), 1+r.IntN(5)
+		handed := make([]atomic.Int32, n)
+		called := make([]atomic.Int32, workers)
+		c.ForEach(context.Background(), n, workers, func(w int, _ struct{}, claim func() (int, bool)) {
+			called[w].Add(1)
+			for i, ok := claim(); ok; i, ok = claim() {
+				handed[i].Add(1)
+			}
+		})
+		for i := range handed {
+			if got := handed[i].Load(); got != 1 {
+				t.Fatalf("call %d (n=%d, workers=%d): item %d handed out %d times", call, n, workers, i, got)
+			}
+		}
+		for w := range called {
+			want := int32(0)
+			if w < min(workers, n) {
+				want = 1
+			}
+			if got := called[w].Load(); got != want {
+				t.Fatalf("call %d (n=%d, workers=%d): worker %d called %d times, want %d", call, n, workers, w, got, want)
+			}
+		}
+	}
+}
+
+// TestCrewCancelLeavesSuffix is TestForEachCancelLeavesSuffix on one crew
+// reused across the seeds: a cancel stops the claims, and the claimed items
+// are exactly [0, k), every one of them finished.
+func TestCrewCancelLeavesSuffix(t *testing.T) {
+	const n = 500
+	c := NewCrew[struct{}](nil, nil)
+	defer c.Close()
+	for seed := uint64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 1))
+		workers := 1 + r.IntN(4)
+		at := r.IntN(n)
+		ctx, cancel := context.WithCancel(context.Background())
+		var claimed, finished [n]atomic.Bool
+		var canceled atomic.Bool
+		c.ForEach(ctx, n, workers, func(_ int, _ struct{}, claim func() (int, bool)) {
+			for {
+				after := canceled.Load()
+				i, ok := claim()
+				if !ok {
+					return
+				}
+				if after {
+					t.Errorf("seed %d: item %d claimed after the cancel", seed, i)
+				}
+				claimed[i].Store(true)
+				if i == at {
+					cancel()
+					canceled.Store(true)
+				}
+				runtime.Gosched()
+				finished[i].Store(true)
+			}
+		})
+		cancel()
+		k := 0
+		for k < n && claimed[k].Load() {
+			k++
+		}
+		for i := k; i < n; i++ {
+			if claimed[i].Load() {
+				t.Fatalf("seed %d: item %d claimed after the gap at %d", seed, i, k)
+			}
+		}
+		for i := 0; i < k; i++ {
+			if !finished[i].Load() {
+				t.Fatalf("seed %d: claimed item %d never finished", seed, i)
+			}
+		}
+		if k <= at {
+			t.Fatalf("seed %d: %d workers canceled at item %d claimed [0, %d)", seed, workers, at, k)
+		}
+	}
+}
+
+// TestCrewCallerIsWorkerZero: worker 0 runs on the calling goroutine, and
+// worker w >= 1 on helper w, the same goroutine in every call, with the
+// same slot state, opened once.
+func TestCrewCallerIsWorkerZero(t *testing.T) {
+	caller := goid()
+	var opened atomic.Int32
+	c := NewCrew(func() int { return int(opened.Add(1)) }, nil)
+	defer c.Close()
+	var mu sync.Mutex
+	ids, states := map[int]int{}, map[int]int{}
+	for call := 0; call < 100; call++ {
+		workers := 1 + call%4
+		c.ForEach(context.Background(), 100, workers, func(w int, s int, claim func() (int, bool)) {
+			id := goid()
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := ids[w]; ok && prev != id {
+				t.Errorf("call %d: worker %d moved from goroutine %d to %d", call, w, prev, id)
+			}
+			if prev, ok := states[w]; ok && prev != s {
+				t.Errorf("call %d: worker %d's slot state changed from %d to %d", call, w, prev, s)
+			}
+			ids[w], states[w] = id, s
+			for _, ok := claim(); ok; _, ok = claim() {
+			}
+		})
+	}
+	if ids[0] != caller {
+		t.Errorf("worker 0 ran on goroutine %d, the caller is %d", ids[0], caller)
+	}
+	seen := map[int]bool{}
+	for w, id := range ids {
+		if w != 0 && (id == caller || seen[id]) {
+			t.Errorf("worker %d shares goroutine %d", w, id)
+		}
+		seen[id] = true
+	}
+	if len(ids) != 4 || opened.Load() != 4 {
+		t.Errorf("%d workers called, %d slot states opened; want 4 of each", len(ids), opened.Load())
+	}
+}
+
+// TestCrewCloseIsPrompt: Close returns at once whether the helpers still
+// poll or have parked, releases every slot state it opened, and leaves no
+// goroutine behind.
+func TestCrewCloseIsPrompt(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, parked := range []bool{false, true} {
+		var opened, shut atomic.Int32
+		c := NewCrew(func() struct{} { opened.Add(1); return struct{}{} }, func(struct{}) { shut.Add(1) })
+		c.ForEach(context.Background(), 100, 4, func(_ int, _ struct{}, claim func() (int, bool)) {
+			for _, ok := claim(); ok; _, ok = claim() {
+			}
+		})
+		if parked {
+			deadline := time.Now().Add(5 * time.Second)
+			for _, h := range c.helpers {
+				for h.mail.Load() != &h.parked {
+					if time.Now().After(deadline) {
+						t.Fatal("a helper never parked")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		start := time.Now()
+		c.Close()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("parked=%v: Close took %v", parked, d)
+		}
+		if o, s := opened.Load(), shut.Load(); o != 4 || s != 4 {
+			t.Errorf("parked=%v: %d slot states opened, %d shut; want 4 and 4", parked, o, s)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the crews, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCrewSpinBound: with crews busy on several goroutines at once, never
+// more than GOMAXPROCS-1 waiters poll, so nothing polls at GOMAXPROCS=1.
+func TestCrewSpinBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		limit := int32(procs - 1)
+		var over atomic.Int32
+		check := func() {
+			if n := spinners.Load(); n > limit {
+				over.Store(n)
+			}
+		}
+		stop := make(chan struct{})
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					check()
+					runtime.Gosched()
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for range 3 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := NewCrew[struct{}](nil, nil)
+				defer c.Close()
+				for call := 0; call < 200; call++ {
+					c.ForEach(context.Background(), 20, 3, func(_ int, _ struct{}, claim func() (int, bool)) {
+						for _, ok := claim(); ok; _, ok = claim() {
+							check()
+						}
+					})
+					check()
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		<-sampled
+		if n := over.Load(); n != 0 {
+			t.Errorf("GOMAXPROCS=%d: %d waiters polled at once, limit %d", procs, n, limit)
+		}
+	}
+}

@@ -31,6 +31,7 @@ package vet
 
 import (
 	"fmt"
+	"strconv"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/hb"
@@ -63,12 +64,31 @@ type Violation struct {
 
 // String renders the violation like a diagnostic line.
 func (v Violation) String() string {
-	kind := "violation"
+	var buf [160]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends v's String rendering to b and returns the extended
+// buffer.
+func (v Violation) AppendTo(b []byte) []byte {
+	b = append(b, "vet "...)
 	if v.Warning {
-		kind = "warning"
+		b = append(b, "warning"...)
+	} else {
+		b = append(b, "violation"...)
 	}
-	return fmt.Sprintf("vet %s [%s] g%d(%s) on %s at step %d: %s",
-		kind, v.Rule, v.G, v.GName, v.Obj, v.Step, v.Msg)
+	b = append(b, " ["...)
+	b = append(b, v.Rule...)
+	b = append(b, "] g"...)
+	b = strconv.AppendInt(b, int64(v.G), 10)
+	b = append(b, '(')
+	b = append(b, v.GName...)
+	b = append(b, ") on "...)
+	b = append(b, v.Obj...)
+	b = append(b, " at step "...)
+	b = strconv.AppendInt(b, v.Step, 10)
+	b = append(b, ": "...)
+	return append(b, v.Msg...)
 }
 
 // waitRecord tracks one WaitGroup.Wait for the Add-before-Wait rule.
@@ -89,7 +109,7 @@ type Monitor struct {
 	// slice reads like an absent key.
 	waits    map[string][]*waitRecord
 	openWait map[string][]*waitRecord
-	reported map[string]bool
+	reported map[reportKey]bool
 	// waitList links every wait record this monitor has made, and free is
 	// the part of it the current run has not yet reused. Reset rewinds
 	// free, so each run reuses the records of earlier runs, with their
@@ -102,7 +122,7 @@ func New() *Monitor {
 	return &Monitor{
 		waits:    map[string][]*waitRecord{},
 		openWait: map[string][]*waitRecord{},
-		reported: map[string]bool{},
+		reported: map[reportKey]bool{},
 	}
 }
 
@@ -185,8 +205,16 @@ func (m *Monitor) HasRule(r Rule) bool {
 	return false
 }
 
+// reportKey identifies a reported violation: a rule is reported once per
+// object and goroutine.
+type reportKey struct {
+	rule Rule
+	obj  string
+	g    int
+}
+
 func (m *Monitor) report(ev *event.Event, rule Rule, warning bool, format string, args ...any) {
-	key := string(rule) + "/" + ev.Obj + "/" + fmt.Sprint(ev.G)
+	key := reportKey{rule, ev.Obj, ev.G}
 	if m.reported[key] {
 		return
 	}
