@@ -17,11 +17,13 @@
 package detect
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -463,6 +465,20 @@ type sweepRecord struct {
 // partial result; Checkpoint persists per-run records so an interrupted
 // sweep resumes where it stopped.
 func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
+	rep, _ := sweep(prog, opts, dets, false)
+	return rep
+}
+
+// SweepWithLog is Sweep that also returns the sweep's record log, encoded
+// in memory at its exact size once the sweep ends: the bytes opts.Checkpoint
+// would hold after the same sweep. A shard that ships its log to a fold
+// elsewhere thus needs no file of its own.
+func SweepWithLog(prog sim.Program, opts SweepOptions, dets ...Detector) (*SweepReport, []byte) {
+	return sweep(prog, opts, dets, true)
+}
+
+// sweep is Sweep, encoding the record log when keepLog is set.
+func sweep(prog sim.Program, opts SweepOptions, dets []Detector, keepLog bool) (*SweepReport, []byte) {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
 	}
@@ -587,61 +603,101 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		lg.close(records)
 	}
 
-	return foldSweep(opts, dets, records, lo, hi, elapsed, ctx.Err())
+	rep := foldSweep(opts, dets, records, lo, hi, elapsed, ctx.Err())
+	if !keepLog {
+		return rep, nil
+	}
+	return rep, encodeLog(sweepIdentity(opts, dets), records)
 }
 
-// foldSweep builds the seed-order report from per-run records over the
-// half-open run range [lo, hi). It is shared by Sweep (serial, resumed, and
-// single-shard) and MergeSweepCheckpoints (full range over merged shards), so
-// every path to a report folds identically. elapsed may be nil: wall time is
-// process-local and never part of the deterministic fold.
+// foldSweep folds the present records of a run table over [lo, hi) with
+// sweepFold. Sweep and ReplayDir fold through it; elapsed may be nil (wall
+// time is process-local and never part of the deterministic fold).
 func foldSweep(opts SweepOptions, dets []Detector, records []*sweepRecord, lo, hi int, elapsed []time.Duration, ctxErr error) *SweepReport {
-	out := &SweepReport{Runs: hi - lo}
-	rules := make([]map[string]bool, len(dets))
+	f := newSweepFold(opts, dets, lo, hi)
+	for _, rec := range records[lo:hi] {
+		if rec != nil {
+			f.add(rec)
+		}
+	}
+	return f.report(elapsed, ctxErr)
+}
+
+// sweepFold is the one fold from per-run records to a SweepReport over the
+// half-open run range [lo, hi). Records may arrive in any order, each run at
+// most once, and the report does not depend on that order: counts and rule
+// sets are sums and unions, FirstRun and Sample come from the lowest
+// detecting run, and Incomplete is built in run order by report. A record is
+// read only during add, so a caller may decode every record into one
+// scratch record; the strings it keeps must outlive the fold.
+type sweepFold struct {
+	out      *SweepReport
+	lo       int
+	baseSeed int64
+	rules    []map[string]bool
+	seen     []uint64 // bit i set once run lo+i is added
+}
+
+func newSweepFold(opts SweepOptions, dets []Detector, lo, hi int) *sweepFold {
+	f := &sweepFold{
+		out: &SweepReport{Runs: hi - lo}, lo: lo, baseSeed: opts.BaseSeed,
+		rules: make([]map[string]bool, len(dets)),
+		seen:  make([]uint64, (hi-lo+63)/64),
+	}
 	for di, d := range dets {
-		out.Detectors = append(out.Detectors, SweepStat{Detector: d.Name, FirstRun: -1})
-		rules[di] = map[string]bool{}
+		f.out.Detectors = append(f.out.Detectors, SweepStat{Detector: d.Name, FirstRun: -1})
+		f.rules[di] = map[string]bool{}
 	}
-	for i := lo; i < hi; i++ {
-		rec := records[i]
-		if rec == nil {
-			reason := harness.ReasonCanceled
-			if ctxErr != nil {
-				reason = harness.CtxReason(ctxErr)
+	return f
+}
+
+// add folds one run's record.
+func (f *sweepFold) add(rec *sweepRecord) {
+	i := rec.Run - f.lo
+	f.seen[i/64] |= 1 << (i % 64)
+	if rec.Err != nil {
+		f.out.Incomplete = append(f.out.Incomplete, IncompleteRun{
+			Run: rec.Run, Seed: rec.Seed, Reason: harness.ReasonPanic, Detail: rec.Err.PanicValue,
+		})
+		return
+	}
+	f.out.Completed++
+	for di := range f.out.Detectors {
+		st := &f.out.Detectors[di]
+		v := &rec.Verdicts[di]
+		st.Events += rec.Events[di]
+		if v.Detected {
+			st.DetectedRuns++
+			if st.FirstRun < 0 || rec.Run < st.FirstRun {
+				st.FirstRun, st.Sample = rec.Run, v.Message
 			}
-			out.Incomplete = append(out.Incomplete, IncompleteRun{
-				Run: i, Seed: opts.BaseSeed + int64(i), Reason: reason,
-			})
-			continue
 		}
-		if rec.Err != nil {
-			out.Incomplete = append(out.Incomplete, IncompleteRun{
-				Run: i, Seed: rec.Seed, Reason: harness.ReasonPanic, Detail: rec.Err.PanicValue,
-			})
-			continue
-		}
-		out.Completed++
-		for di := range dets {
-			st := &out.Detectors[di]
-			v := rec.Verdicts[di]
-			st.Events += rec.Events[di]
-			if v.Detected {
-				st.DetectedRuns++
-				if st.FirstRun < 0 {
-					st.FirstRun = i
-					st.Sample = v.Message
-				}
-			}
-			for _, r := range v.Rules {
-				rules[di][r] = true
-			}
+		for _, r := range v.Rules {
+			f.rules[di][r] = true
 		}
 	}
-	for di := range dets {
+}
+
+// report finishes the fold. Runs never added are incomplete: canceled, or
+// the reason ctxErr gives when non-nil.
+func (f *sweepFold) report(elapsed []time.Duration, ctxErr error) *SweepReport {
+	out := f.out
+	reason := harness.ReasonCanceled
+	if ctxErr != nil {
+		reason = harness.CtxReason(ctxErr)
+	}
+	for i := range out.Runs {
+		if f.seen[i/64]&(1<<(i%64)) == 0 {
+			run := f.lo + i
+			out.Incomplete = append(out.Incomplete, IncompleteRun{Run: run, Seed: f.baseSeed + int64(run), Reason: reason})
+		}
+	}
+	slices.SortFunc(out.Incomplete, func(a, b IncompleteRun) int { return cmp.Compare(a.Run, b.Run) })
+	for di := range out.Detectors {
 		if elapsed != nil {
 			out.Detectors[di].Elapsed = elapsed[di]
 		}
-		for r := range rules[di] {
+		for r := range f.rules[di] {
 			out.Detectors[di].Rules = append(out.Detectors[di].Rules, r)
 		}
 		sort.Strings(out.Detectors[di].Rules)
@@ -701,21 +757,27 @@ var (
 // exactly as a canceled serial sweep's would. Failures wrap the ErrShard*
 // sentinels, never fold silently.
 //
-// When dst is non-empty the merged log is written there first: the header,
-// then the sources' record frames in run order, copied byte for byte.
-// Records hold no wall time and the header no shard identity, so that file
-// is byte-identical to the log an uninterrupted serial sweep of the same
-// options writes.
+// Each record is decoded into one scratch record and folded as it is
+// checked, and the sources are walked together in run order, so the merge
+// keeps no per-record state and the report does not depend on the order of
+// srcs. When dst is non-empty the merged log is streamed there, through a
+// synced temp file renamed over dst once every source checked out: the
+// header, then the sources' record frames in run order, copied byte for
+// byte. Records hold no wall time and the header no shard identity, so that
+// file is byte-identical to the log an uninterrupted serial sweep of the
+// same options writes.
 func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ...Detector) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
 	}
 	ident := sweepIdentity(opts, dets)
-	records := make([]*sweepRecord, opts.Runs)
-	raws := make([][]byte, opts.Runs)
-	dec := newRecordDecoder(dets)
+	m := &merger{
+		opts: opts, dec: newRecordDecoder(dets), rec: new(sweepRecord),
+		fold: newSweepFold(opts, dets, 0, opts.Runs),
+		curs: make([]mergeCursor, len(srcs)),
+	}
 	seen := make(map[string]bool, len(srcs))
-	for _, src := range srcs {
+	for i, src := range srcs {
 		if seen[src] {
 			return nil, fmt.Errorf("detect: shard checkpoint %s listed twice: %w", src, ErrShardOverlap)
 		}
@@ -731,32 +793,114 @@ func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ..
 		if have != ident {
 			return nil, fmt.Errorf("detect: shard checkpoint %s was written under different options:\n  have %q\n  want %q\n  %w", src, have, ident, ErrShardFingerprint)
 		}
-		_, err = scanRecords(body, opts, dec, func(rec *sweepRecord, raw []byte) error {
-			if records[rec.Run] != nil {
-				return fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", rec.Run, src, ErrShardOverlap)
-			}
-			records[rec.Run], raws[rec.Run] = rec, raw
-			return nil
-		})
-		if errors.Is(err, ErrShardOverlap) {
+		m.curs[i] = mergeCursor{path: src, body: body, run: -1}
+		if err := m.next(&m.curs[i]); err != nil {
 			return nil, err
-		}
-		if err != nil {
-			return nil, fmt.Errorf("detect: shard checkpoint %s: %w (%w)", src, err, ErrShardUnreadable)
 		}
 	}
 	if dst != "" {
-		size := frame.HeaderLen + len(ident)
-		for _, raw := range raws {
-			size += len(raw)
+		out, err := createAtomic(dst)
+		if err != nil {
+			return nil, err
 		}
-		out := frame.Append(make([]byte, 0, size), []byte(ident))
-		for _, raw := range raws {
-			out = append(out, raw...)
+		m.out = out
+		_, m.werr = out.Write(frame.Append(nil, []byte(ident)))
+	}
+	if err := m.merge(); err != nil {
+		if m.out != nil {
+			m.out.abort()
 		}
-		if err := writeFileAtomic(dst, out); err != nil {
+		return nil, err
+	}
+	if m.out != nil {
+		if err := m.out.commit(m.werr); err != nil {
 			return nil, err
 		}
 	}
-	return foldSweep(opts, dets, records, 0, opts.Runs, nil, nil), nil
+	return m.fold.report(nil, nil), nil
+}
+
+// merger is one MergeSweepCheckpoints call: a cursor per source, the
+// scratch record every frame decodes into, the fold, and the merged log's
+// temp file (nil without dst) with its first write error.
+type merger struct {
+	opts SweepOptions
+	dec  *recordDecoder
+	rec  *sweepRecord
+	fold *sweepFold
+	curs []mergeCursor
+	out  *atomicFile
+	werr error
+}
+
+// mergeCursor walks one source's record frames. The frame at body[off:]
+// has been checked and folded; size is its length (0 once the source is
+// exhausted) and run its run.
+type mergeCursor struct {
+	path      string
+	body      []byte
+	off, size int
+	run       int
+}
+
+// next moves c past its current frame, then checks and folds the frame
+// after it.
+func (m *merger) next(c *mergeCursor) error {
+	c.off += c.size
+	c.size = 0
+	if c.off == len(c.body) {
+		return nil
+	}
+	size, err := nextRecord(c.body[c.off:], m.opts, m.dec, m.rec, c.run)
+	if err != nil {
+		return fmt.Errorf("detect: shard checkpoint %s: record frame at byte %d: %w (%w)", c.path, c.off, err, ErrShardUnreadable)
+	}
+	m.fold.add(m.rec)
+	c.size, c.run = size, m.rec.Run
+	return nil
+}
+
+// merge takes the sources' frames in run order, each source's run-ordered
+// frames merged by their lowest next run, and copies them to m.out in spans
+// of consecutive frames from one source: for contiguous shards, one write
+// per source. A run taken twice means two sources hold it.
+func (m *merger) merge() error {
+	var span *mergeCursor // source of the frames taken but not yet written
+	spanStart, prev := 0, -1
+	for {
+		// While the last source yields the very next run, nothing can
+		// come before it; only a gap needs the scan over every source.
+		c := span
+		if c == nil || c.size == 0 || c.run != prev+1 {
+			c = nil
+			for i := range m.curs {
+				if k := &m.curs[i]; k.size > 0 && (c == nil || k.run < c.run) {
+					c = k
+				}
+			}
+		}
+		if c == nil {
+			break
+		}
+		if c.run <= prev {
+			return fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", c.run, c.path, ErrShardOverlap)
+		}
+		if c != span {
+			m.write(span, spanStart)
+			span, spanStart = c, c.off
+		}
+		prev = c.run
+		if err := m.next(c); err != nil {
+			return err
+		}
+	}
+	m.write(span, spanStart)
+	return nil
+}
+
+// write copies c's frames from start up to its current frame to m.out.
+func (m *merger) write(c *mergeCursor, start int) {
+	if c != nil && m.out != nil && m.werr == nil {
+		_, m.werr = m.out.Write(c.body[start:c.off])
+	}
 }

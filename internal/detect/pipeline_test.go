@@ -36,7 +36,7 @@ func freshLog(opts SweepOptions, prog sim.Program, dets []Detector) []byte {
 		}
 		records[i] = rec
 	}
-	return appendLog(nil, sweepIdentity(opts, dets), records)
+	return encodeLog(sweepIdentity(opts, dets), records)
 }
 
 // TestReusedPipelineMatchesFresh: a sweep worker builds its detector
@@ -90,9 +90,8 @@ func firstLogDiff(t *testing.T, got, want []byte, dets []Detector) string {
 		}
 		var out []string
 		opts := SweepOptions{Runs: 1 << 20, BaseSeed: 1}
-		if _, err := scanRecords(body, opts, newRecordDecoder(dets), func(rec *sweepRecord, _ []byte) error {
+		if _, err := scanRecords(body, opts, newRecordDecoder(dets), func(rec *sweepRecord) {
 			out = append(out, fmt.Sprintf("run %d: %+v events %v", rec.Run, rec.Verdicts, rec.Events))
-			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}

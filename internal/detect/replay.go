@@ -92,7 +92,7 @@ func ReplayDir(dir string, opts SweepOptions, dets ...Detector) (*SweepReport, e
 		}
 	}
 	if opts.Checkpoint != "" {
-		if err := writeFileAtomic(opts.Checkpoint, appendLog(nil, sweepIdentity(opts, dets), records)); err != nil {
+		if err := writeFileAtomic(opts.Checkpoint, encodeLog(sweepIdentity(opts, dets), records)); err != nil {
 			return nil, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"goconcbugs/internal/frame"
@@ -88,6 +89,163 @@ func TestShardedSweepFoldsIdenticalToSerial(t *testing.T) {
 	zeroElapsed(merged)
 	if !reflect.DeepEqual(serial, merged) {
 		t.Errorf("merged report differs from serial:\n  serial: %+v\n  merged: %+v", serial, merged)
+	}
+
+	// The fold does not depend on the order of its sources.
+	reversedPath := filepath.Join(dir, "reversed.ck")
+	reversed, err := MergeSweepCheckpoints(reversedPath, reversed(srcs), opts, dets...)
+	if err != nil {
+		t.Fatalf("merge in reverse order: %v", err)
+	}
+	if !bytes.Equal(readFile(t, reversedPath), serialBytes) {
+		t.Error("checkpoint merged from the shards in reverse order differs from the serial checkpoint")
+	}
+	if !reflect.DeepEqual(reversed, merged) {
+		t.Errorf("report merged in reverse order differs:\n  forward: %+v\n  reverse: %+v", merged, reversed)
+	}
+}
+
+// reversed returns a reversed copy of s.
+func reversed(s []string) []string {
+	r := slices.Clone(s)
+	slices.Reverse(r)
+	return r
+}
+
+// TestMergeOrderIndependentWithPanicsAndMissingShard: shards whose logs hold
+// host-panicked runs, one shard missing, merge to the same bytes and the
+// same report in either source order, with Incomplete in run order: each
+// panicked run where it lies, then the missing shard's runs as canceled.
+func TestMergeOrderIndependentWithPanicsAndMissingShard(t *testing.T) {
+	dir := t.TempDir()
+	panicky := func(seed int64) bool { return seed%5 == 0 }
+	dets := []Detector{MustLookup("race"), boomDetector(panicky)}
+	opts := SweepOptions{Runs: 24, BaseSeed: 100, Config: sim.Config{Name: "harden-prog"}}
+	const shards, missing = 4, 2
+	var srcs []string
+	for s := 0; s < shards; s++ {
+		if s == missing {
+			continue
+		}
+		so := opts
+		so.ShardCount, so.ShardIndex = shards, s
+		so.Checkpoint = filepath.Join(dir, fmt.Sprintf("shard%d.ck", s))
+		so.Workers = 1 + s%2
+		Sweep(hardenProg, so, dets...)
+		srcs = append(srcs, so.Checkpoint)
+	}
+
+	fwdPath, revPath := filepath.Join(dir, "fwd.ck"), filepath.Join(dir, "rev.ck")
+	fwd, err := MergeSweepCheckpoints(fwdPath, srcs, opts, dets...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := MergeSweepCheckpoints(revPath, reversed(srcs), opts, dets...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, fwdPath), readFile(t, revPath)) {
+		t.Error("merged checkpoints differ between forward and reverse source order")
+	}
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Fatalf("merged reports differ between source orders:\n  forward: %+v\n  reverse: %+v", fwd, rev)
+	}
+
+	lo, hi := harness.Shard(opts.Runs, shards, missing)
+	var want []IncompleteRun
+	completed := 0
+	for run := 0; run < opts.Runs; run++ {
+		seed := opts.BaseSeed + int64(run)
+		switch {
+		case run >= lo && run < hi:
+			want = append(want, IncompleteRun{Run: run, Seed: seed, Reason: harness.ReasonCanceled})
+		case panicky(seed):
+			want = append(want, IncompleteRun{Run: run, Seed: seed, Reason: harness.ReasonPanic, Detail: "detector bug: unhandled seed shape"})
+		default:
+			completed++
+		}
+	}
+	if !reflect.DeepEqual(fwd.Incomplete, want) {
+		t.Errorf("Incomplete = %+v\nwant %+v", fwd.Incomplete, want)
+	}
+	if fwd.Completed != completed {
+		t.Errorf("Completed = %d, want %d", fwd.Completed, completed)
+	}
+	if fwd.Verdict.Status != harness.Incomplete || fwd.Verdict.Reason != harness.ReasonCanceled {
+		t.Errorf("verdict = %v, want incomplete(canceled): a missing shard outranks isolated panics", fwd.Verdict)
+	}
+}
+
+// TestMergeInterleavedSources: a merged log that lacks its middle shard and
+// the missing shard's own log interleave in run order. Merged in either
+// order, they give the serial sweep's checkpoint and report.
+func TestMergeInterleavedSources(t *testing.T) {
+	dir := t.TempDir()
+	dets := shardDets()
+	opts := SweepOptions{Runs: 15, BaseSeed: 6, Workers: 1, Config: sim.Config{Name: "shard-prog"}}
+	serialOpts := opts
+	serialOpts.Checkpoint = filepath.Join(dir, "serial.ck")
+	serial := stripElapsed(Sweep(shardProg, serialOpts, dets...))
+
+	shard := func(s int) string {
+		so := opts
+		so.ShardCount, so.ShardIndex = 3, s
+		so.Checkpoint = filepath.Join(dir, fmt.Sprintf("shard%d.ck", s))
+		Sweep(shardProg, so, dets...)
+		return so.Checkpoint
+	}
+	holed := filepath.Join(dir, "holed.ck")
+	if _, err := MergeSweepCheckpoints(holed, []string{shard(0), shard(2)}, opts, dets...); err != nil {
+		t.Fatal(err)
+	}
+	middle := shard(1)
+	for _, srcs := range [][]string{{holed, middle}, {middle, holed}} {
+		dst := filepath.Join(dir, "merged.ck")
+		got, err := MergeSweepCheckpoints(dst, srcs, opts, dets...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, dst), readFile(t, serialOpts.Checkpoint)) {
+			t.Errorf("sources %v: merged checkpoint differs from the serial one", srcs)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("sources %v: merged report differs from serial:\n  got  %+v\n  want %+v", srcs, got, serial)
+		}
+	}
+}
+
+// TestMergeAllocationsDoNotGrowWithRuns: the merge decodes every record into
+// one scratch record and streams frames from the source logs to the merged
+// file, so merging four shard logs allocates as many objects for a
+// 4000-run sweep as for a 400-run one, give or take the interned strings
+// and the growth of the decoder's maps.
+func TestMergeAllocationsDoNotGrowWithRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps 4400 runs")
+	}
+	dir := t.TempDir()
+	dets := shardDets()
+	allocs := func(runs int) float64 {
+		opts := SweepOptions{Runs: runs, BaseSeed: 11, Config: sim.Config{Name: "shard-prog"}}
+		var srcs []string
+		for s := 0; s < 4; s++ {
+			so := opts
+			so.ShardCount, so.ShardIndex = 4, s
+			so.Checkpoint = filepath.Join(dir, fmt.Sprintf("r%d-shard%d.ck", runs, s))
+			Sweep(shardProg, so, dets...)
+			srcs = append(srcs, so.Checkpoint)
+		}
+		dst := filepath.Join(dir, fmt.Sprintf("r%d-merged.ck", runs))
+		return testing.AllocsPerRun(3, func() {
+			if _, err := MergeSweepCheckpoints(dst, srcs, opts, dets...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(400), allocs(4000)
+	t.Logf("merging 4 shard logs: %.0f allocations at 400 runs, %.0f at 4000", small, large)
+	if large > small+16 {
+		t.Errorf("merging 4 shard logs allocates %.0f objects at 4000 runs against %.0f at 400: the merge allocates per record", large, small)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,7 +68,7 @@ var (
 )
 
 // appendRecord appends rec's payload to dst. The payload holds exactly what
-// foldSweep reads: run and seed (uvarint, zigzag varint), a panic flag,
+// the fold reads: run and seed (uvarint, zigzag varint), a panic flag,
 // then either the panic value or, per detector, the detected flag, the
 // message, the rules and the event count. Strings are a uvarint length and
 // the bytes.
@@ -100,6 +101,28 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
+// recordLen is len(appendRecord(nil, rec)), computed without encoding.
+func recordLen(rec *sweepRecord) int {
+	// A zigzag varint is the uvarint of the zigzag-mapped value.
+	n := uvarintLen(uint64(rec.Run)) + uvarintLen(uint64(rec.Seed<<1)^uint64(rec.Seed>>63)) + 1
+	if rec.Err != nil {
+		return n + stringLen(rec.Err.PanicValue)
+	}
+	n += uvarintLen(uint64(len(rec.Verdicts)))
+	for di, v := range rec.Verdicts {
+		n += 1 + stringLen(v.Message) + uvarintLen(uint64(len(v.Rules)))
+		for _, r := range v.Rules {
+			n += stringLen(r)
+		}
+		n += uvarintLen(uint64(rec.Events[di]))
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 // recordDecoder decodes record payloads for one detector set. Messages and
 // rules repeat across nearly every run of a sweep, so it interns them: a
 // decoded log holds one copy of each distinct string.
@@ -114,22 +137,28 @@ func newRecordDecoder(dets []Detector) *recordDecoder {
 	return &recordDecoder{dets: dets, intern: map[string]string{}}
 }
 
-// decode parses one record payload. Any malformation — a truncated field,
-// a detector count that does not match the log's detector set, a flag
-// byte other than 0 or 1, trailing bytes — is errLogRecord.
-func (d *recordDecoder) decode(payload []byte) (*sweepRecord, error) {
+// decode parses one record payload into rec, overwriting every field the
+// payload holds and reusing rec's slices where they are large enough, so a
+// scratch record decodes a whole log without allocating per record. Any
+// malformation — a truncated field, a detector count that does not match
+// the log's detector set, a flag byte other than 0 or 1, trailing bytes — is
+// errLogRecord.
+func (d *recordDecoder) decode(payload []byte, rec *sweepRecord) error {
 	d.b, d.bad = payload, false
-	rec := &sweepRecord{Run: int(d.uvarint()), Seed: d.varint()}
+	rec.Run, rec.Seed, rec.Err = int(d.uvarint()), d.varint(), nil
 	switch d.flag() {
 	case 0:
 		if n := d.uvarint(); n != uint64(len(d.dets)) {
-			return nil, fmt.Errorf("%w: %d detector verdicts, want %d", errLogRecord, n, len(d.dets))
+			return fmt.Errorf("%w: %d detector verdicts, want %d", errLogRecord, n, len(d.dets))
 		}
-		rec.Verdicts = make([]Verdict, len(d.dets))
-		rec.Events = make([]int64, len(d.dets))
+		if cap(rec.Verdicts) < len(d.dets) {
+			rec.Verdicts = make([]Verdict, len(d.dets))
+			rec.Events = make([]int64, len(d.dets))
+		}
+		rec.Verdicts, rec.Events = rec.Verdicts[:len(d.dets)], rec.Events[:len(d.dets)]
 		for di, det := range d.dets {
 			v := &rec.Verdicts[di]
-			v.Detector = det.Name
+			*v = Verdict{Detector: det.Name, Rules: v.Rules[:0]}
 			switch d.flag() {
 			case 0:
 			case 1:
@@ -141,9 +170,11 @@ func (d *recordDecoder) decode(payload []byte) (*sweepRecord, error) {
 			// Every rule takes at least one byte, which bounds the
 			// allocation a corrupt count can ask for.
 			if n := d.uvarint(); n > 0 && n <= uint64(len(d.b)) {
-				v.Rules = make([]string, n)
-				for ri := range v.Rules {
-					v.Rules[ri] = d.str()
+				if uint64(cap(v.Rules)) < n {
+					v.Rules = make([]string, 0, n)
+				}
+				for range n {
+					v.Rules = append(v.Rules, d.str())
 				}
 			} else if n > 0 {
 				d.bad = true
@@ -156,9 +187,9 @@ func (d *recordDecoder) decode(payload []byte) (*sweepRecord, error) {
 		d.bad = true
 	}
 	if d.bad || len(d.b) != 0 {
-		return nil, errLogRecord
+		return errLogRecord
 	}
-	return rec, nil
+	return nil
 }
 
 func (d *recordDecoder) uvarint() uint64 {
@@ -217,42 +248,56 @@ func readLogHeader(data []byte) (ident string, body []byte, err error) {
 	return string(payload), data[size:], nil
 }
 
-// scanRecords decodes the record frames of a log body in order, calling fn
-// with each record and its raw frame bytes. It stops at the first frame
-// that is torn, fails its CRC, does not decode, names a run outside
-// [0, opts.Runs) or a seed other than that run's, or does not follow the
-// previous run, and returns the byte length of the valid prefix before it
-// along with the reason (nil when the whole body is valid). An error from
-// fn stops the scan and is returned.
-func scanRecords(body []byte, opts SweepOptions, d *recordDecoder, fn func(rec *sweepRecord, raw []byte) error) (int, error) {
+// nextRecord decodes the record frame at the start of body into rec and
+// returns the frame's size. It fails if the frame is torn, fails its CRC or
+// does not decode, or if its record names a run outside [0, opts.Runs), a
+// seed other than that run's, or a run not above last.
+func nextRecord(body []byte, opts SweepOptions, d *recordDecoder, rec *sweepRecord, last int) (int, error) {
+	payload, size, err := frame.Next(body, 1)
+	if err != nil {
+		return 0, err
+	}
+	if err := d.decode(payload, rec); err != nil {
+		return 0, err
+	}
+	switch {
+	case rec.Run < 0 || rec.Run >= opts.Runs || rec.Seed != opts.BaseSeed+int64(rec.Run):
+		return 0, fmt.Errorf("%w: run %d (seed %d) in a %d-run sweep from seed %d", errLogRange, rec.Run, rec.Seed, opts.Runs, opts.BaseSeed)
+	case rec.Run <= last:
+		return 0, fmt.Errorf("%w: run %d after run %d", errLogOrder, rec.Run, last)
+	}
+	return size, nil
+}
+
+// scanRecords decodes the record frames of a log body in order, each into a
+// record of its own, and calls fn with it. It stops at the first frame
+// nextRecord rejects and returns the byte length of the valid prefix before
+// it along with the reason (nil when the whole body is valid).
+func scanRecords(body []byte, opts SweepOptions, d *recordDecoder, fn func(rec *sweepRecord)) (int, error) {
 	off, last := 0, -1
 	for off < len(body) {
-		payload, size, err := frame.Next(body[off:], 1)
+		rec := new(sweepRecord)
+		size, err := nextRecord(body[off:], opts, d, rec, last)
 		if err != nil {
 			return off, fmt.Errorf("record frame at byte %d: %w", off, err)
 		}
-		rec, err := d.decode(payload)
-		switch {
-		case err != nil:
-			return off, fmt.Errorf("record frame at byte %d: %w", off, err)
-		case rec.Run < 0 || rec.Run >= opts.Runs || rec.Seed != opts.BaseSeed+int64(rec.Run):
-			return off, fmt.Errorf("%w: run %d (seed %d) in a %d-run sweep from seed %d", errLogRange, rec.Run, rec.Seed, opts.Runs, opts.BaseSeed)
-		case rec.Run <= last:
-			return off, fmt.Errorf("%w: run %d after run %d", errLogOrder, rec.Run, last)
-		}
-		if err := fn(rec, body[off:off+size]); err != nil {
-			return off, err
-		}
+		fn(rec)
 		off += size
 		last = rec.Run
 	}
 	return off, nil
 }
 
-// appendLog appends the canonical log of records to dst: the header frame,
-// then one frame per present record in run order.
-func appendLog(dst []byte, ident string, records []*sweepRecord) []byte {
-	dst = frame.Append(dst, []byte(ident))
+// encodeLog returns the canonical log of records, allocated at its exact
+// size: the header frame, then one frame per present record in run order.
+func encodeLog(ident string, records []*sweepRecord) []byte {
+	size := frame.HeaderLen + len(ident)
+	for _, rec := range records {
+		if rec != nil {
+			size += frame.HeaderLen + recordLen(rec)
+		}
+	}
+	dst := frame.Append(make([]byte, 0, size), []byte(ident))
 	var payload []byte
 	for _, rec := range records {
 		if rec != nil {
@@ -263,28 +308,54 @@ func appendLog(dst []byte, ident string, records []*sweepRecord) []byte {
 	return dst
 }
 
-// writeFileAtomic writes data to path through a synced temp file in the
-// same directory renamed over path, so a reader (or a resume after a crash)
-// sees either the old file or the whole new one.
-func writeFileAtomic(path string, data []byte) error {
+// atomicFile is a file written through a temp file in the same directory,
+// which commit syncs and renames over path, so a reader (or a resume after
+// a crash) sees either the old file or the whole new one.
+type atomicFile struct {
+	*os.File
+	path string
+}
+
+func createAtomic(path string) (*atomicFile, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("detect: creating %s temp: %w", path, err)
+		return nil, fmt.Errorf("detect: creating %s temp: %w", path, err)
 	}
-	_, werr := tmp.Write(data)
+	return &atomicFile{File: tmp, path: path}, nil
+}
+
+// commit publishes the temp file at path, or discards it when werr (the
+// caller's first write error) or the sync, close or rename fails.
+func (a *atomicFile) commit(werr error) error {
 	// Sync before the rename publishes the name: without it a power cut can
 	// leave the name pointing at never-flushed bytes.
-	serr := tmp.Sync()
-	cerr := tmp.Close()
+	serr := a.Sync()
+	cerr := a.Close()
 	if err := errors.Join(werr, serr, cerr); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("detect: writing %s: %w", path, err)
+		os.Remove(a.Name())
+		return fmt.Errorf("detect: writing %s: %w", a.path, err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("detect: publishing %s: %w", path, err)
+	if err := os.Rename(a.Name(), a.path); err != nil {
+		os.Remove(a.Name())
+		return fmt.Errorf("detect: publishing %s: %w", a.path, err)
 	}
 	return nil
+}
+
+// abort discards the temp file and leaves path as it was.
+func (a *atomicFile) abort() {
+	a.Close()
+	os.Remove(a.Name())
+}
+
+// writeFileAtomic writes data to path through an atomicFile.
+func writeFileAtomic(path string, data []byte) error {
+	a, err := createAtomic(path)
+	if err != nil {
+		return err
+	}
+	_, werr := a.Write(data)
+	return a.commit(werr)
 }
 
 // sweepLog appends one sweep's records to its checkpoint file. Workers
@@ -323,10 +394,9 @@ func openSweepLog(opts SweepOptions, dets []Detector, records []*sweepRecord) *s
 	good := 0
 	if data, err := os.ReadFile(l.path); err == nil {
 		if have, body, err := readLogHeader(data); err == nil && have == l.ident {
-			n, _ := scanRecords(body, opts, newRecordDecoder(dets), func(rec *sweepRecord, _ []byte) error {
+			n, _ := scanRecords(body, opts, newRecordDecoder(dets), func(rec *sweepRecord) {
 				records[rec.Run] = rec
 				l.last = rec.Run
-				return nil
 			})
 			good = len(data) - len(body) + n
 		}
@@ -390,6 +460,6 @@ func (l *sweepLog) close(records []*sweepRecord) {
 	l.flush()
 	l.failed = l.f.Close() != nil || l.failed
 	if !l.sorted && !l.failed {
-		_ = writeFileAtomic(l.path, appendLog(nil, l.ident, records))
+		_ = writeFileAtomic(l.path, encodeLog(l.ident, records))
 	}
 }

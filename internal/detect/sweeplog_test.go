@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -70,22 +71,48 @@ func TestSweepRecordRoundTrip(t *testing.T) {
 	}
 	d := newRecordDecoder(dets)
 	for _, want := range recs {
-		got, err := d.decode(appendRecord(nil, want))
-		if err != nil {
+		payload := appendRecord(nil, want)
+		if n := recordLen(want); n != len(payload) {
+			t.Errorf("run %d: recordLen = %d, the payload has %d bytes", want.Run, n, len(payload))
+		}
+		got := new(sweepRecord)
+		if err := d.decode(payload, got); err != nil {
 			t.Fatalf("decoding run %d: %v", want.Run, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip of run %d:\n got  %+v\n want %+v", want.Run, got, want)
 		}
 	}
+	// One scratch record decodes every payload in turn, each as a fresh
+	// record would apart from the capacity it keeps.
+	scratch := new(sweepRecord)
+	for _, i := range []int{0, 2, 1, 0} {
+		want := recs[i]
+		if err := d.decode(appendRecord(nil, want), scratch); err != nil {
+			t.Fatalf("scratch decode of run %d: %v", want.Run, err)
+		}
+		if scratch.Run != want.Run || scratch.Seed != want.Seed || !reflect.DeepEqual(scratch.Err, want.Err) {
+			t.Errorf("scratch decode of run %d: got run %d seed %d err %v", want.Run, scratch.Run, scratch.Seed, scratch.Err)
+		}
+		if want.Err != nil {
+			continue
+		}
+		for di, v := range want.Verdicts {
+			g := scratch.Verdicts[di]
+			if g.Detector != v.Detector || g.Detected != v.Detected || g.Message != v.Message ||
+				!slices.Equal(g.Rules, v.Rules) || scratch.Events[di] != want.Events[di] {
+				t.Errorf("scratch decode of run %d, detector %d: got %+v (%d events), want %+v (%d)", want.Run, di, g, scratch.Events[di], v, want.Events[di])
+			}
+		}
+	}
 	// The payload must name exactly the log's detector set.
-	if _, err := newRecordDecoder(dets[:1]).decode(appendRecord(nil, recs[0])); !errors.Is(err, errLogRecord) {
+	if err := newRecordDecoder(dets[:1]).decode(appendRecord(nil, recs[0]), new(sweepRecord)); !errors.Is(err, errLogRecord) {
 		t.Errorf("record with 2 verdicts decoded under 1 detector: err = %v", err)
 	}
 	// Every strict prefix of a payload is malformed, never a panic.
 	full := appendRecord(nil, recs[0])
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := d.decode(full[:cut]); err == nil {
+		if err := d.decode(full[:cut], new(sweepRecord)); err == nil {
 			t.Errorf("payload cut to %d of %d bytes decoded", cut, len(full))
 		}
 	}
@@ -277,7 +304,10 @@ func fuzzLogOpts() SweepOptions {
 // FuzzSweepLog feeds arbitrary bytes to the log decoder through both of its
 // callers. Resume must never panic and must reuse exactly the records of the
 // longest valid, run-ordered prefix (re-executing the rest and leaving a
-// valid log); merge must either fold or fail with an ErrShard* error.
+// valid log); merge must either fold or fail with an ErrShard* error. The
+// resumed log then merges to the very report the resumed sweep returned:
+// the one fold, fed once from the sweep's record table and once from the
+// merge's decoded frames.
 func FuzzSweepLog(f *testing.F) {
 	dets := shardDets()
 	opts := fuzzLogOpts()
@@ -300,10 +330,7 @@ func FuzzSweepLog(f *testing.F) {
 		// decodable prefix after a matching header.
 		reusable := 0
 		if have, body, err := readLogHeader(data); err == nil && have == ident {
-			scanRecords(body, opts, newRecordDecoder(dets), func(*sweepRecord, []byte) error {
-				reusable++
-				return nil
-			})
+			scanRecords(body, opts, newRecordDecoder(dets), func(*sweepRecord) { reusable++ })
 		}
 
 		path := filepath.Join(t.TempDir(), "log.ck")
@@ -325,8 +352,12 @@ func FuzzSweepLog(f *testing.F) {
 		if rep.Completed+len(rep.Incomplete) != opts.Runs {
 			t.Fatalf("resumed fold accounts %d+%d runs of %d", rep.Completed, len(rep.Incomplete), opts.Runs)
 		}
-		if _, err := MergeSweepCheckpoints("", []string{path}, opts, dets...); err != nil {
+		merged, err := MergeSweepCheckpoints("", []string{path}, opts, dets...)
+		if err != nil {
 			t.Fatalf("resumed log does not merge cleanly: %v", err)
+		}
+		if want := stripElapsed(rep); !reflect.DeepEqual(merged, want) {
+			t.Fatalf("resumed log merges to another report:\n merged  %+v\n resumed %+v", merged, want)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -116,21 +115,10 @@ func (e *Engine) execSweep(ctx context.Context, crew *harness.Crew[*sim.RunPool]
 		opts.ShardCount, opts.ShardIndex = job.Shards, job.Shard
 		label += fmt.Sprintf(", shard %d/%d", job.Shard, job.Shards)
 		if job.InlineShard {
-			// The shard sweeps into a private temp checkpoint whose bytes
-			// ship back in the result: same writer, same bytes as a shard
-			// run against a -resume base, no shared filesystem needed.
-			tmp, terr := os.CreateTemp("", "godetect-shard-*.ck")
-			if terr != nil {
-				return nil, fmt.Errorf("engine: inline shard checkpoint: %w", terr)
-			}
-			tmpPath := tmp.Name()
-			tmp.Close()
-			defer os.Remove(tmpPath)
-			opts.Checkpoint = tmpPath
-			sw = detect.Sweep(r.prog, opts, dets...)
-			if shardBytes, err = os.ReadFile(tmpPath); err != nil {
-				return nil, fmt.Errorf("engine: reading inline shard checkpoint: %w", err)
-			}
+			// The shard's record log ships back in the result, encoded in
+			// memory once the sweep ends: the bytes a shard run against a
+			// -resume base writes, with no file and no shared filesystem.
+			sw, shardBytes = detect.SweepWithLog(r.prog, opts, dets...)
 		} else {
 			opts.Checkpoint = ShardCheckpointName(job.Checkpoint, job.Shard, job.Shards)
 			sw = detect.Sweep(r.prog, opts, dets...)

@@ -306,6 +306,20 @@ func TestInlineShardMatchesFileShard(t *testing.T) {
 	}
 }
 
+// TestInlineShardNeedsNoTempDir: an inline shard encodes its record log in
+// memory, so it runs on a host whose temp directory is missing.
+func TestInlineShardNeedsNoTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	e := newEngine(t, Options{Workers: 1, SweepWorkers: 1})
+	res, err := e.Submit(context.Background(), inlineShardJob(1))
+	if err != nil {
+		t.Fatalf("inline shard with TMPDIR missing: %v", err)
+	}
+	if len(res.ShardCheckpoint) == 0 {
+		t.Fatal("inline shard with TMPDIR missing returned no record log")
+	}
+}
+
 // TestInlineShardValidation: the flag composes only with a sharded,
 // non-fold, checkpoint-free sweep.
 func TestInlineShardValidation(t *testing.T) {

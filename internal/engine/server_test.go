@@ -43,6 +43,12 @@ func startServer(t *testing.T, addr string) (*Client, *Engine) {
 	} else {
 		c = NewClient(addr)
 	}
+	// Cleanups run last-registered first, so the client's idle connections
+	// close before Shutdown waits for the server's. net/http counts a
+	// connection that never carried a request as idle only once it is 5 s
+	// old, so a spare one the transport dialed would otherwise hold
+	// Shutdown up to its own 5 s deadline.
+	t.Cleanup(c.Close)
 	if err := c.WaitReady(context.Background(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
