@@ -17,13 +17,11 @@
 package detect
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -614,35 +612,37 @@ func sweep(prog sim.Program, opts SweepOptions, dets []Detector, keepLog bool) (
 // sweepFold. Sweep and ReplayDir fold through it; elapsed may be nil (wall
 // time is process-local and never part of the deterministic fold).
 func foldSweep(opts SweepOptions, dets []Detector, records []*sweepRecord, lo, hi int, elapsed []time.Duration, ctxErr error) *SweepReport {
-	f := newSweepFold(opts, dets, lo, hi)
+	f := newSweepFold(opts, dets, lo, hi, ctxErr)
 	for _, rec := range records[lo:hi] {
 		if rec != nil {
 			f.add(rec)
 		}
 	}
-	return f.report(elapsed, ctxErr)
+	return f.report(elapsed)
 }
 
-// sweepFold is the one fold from per-run records to a SweepReport over the
-// half-open run range [lo, hi). Records may arrive in any order, each run at
-// most once, and the report does not depend on that order: counts and rule
-// sets are sums and unions, FirstRun and Sample come from the lowest
-// detecting run, and Incomplete is built in run order by report. A record is
-// read only during add, so a caller may decode every record into one
-// scratch record; the strings it keeps must outlive the fold.
+// sweepFold is the one fold from per-run records to the seed-order report
+// over the half-open run range [lo, hi), behind Sweep, ReplayDir and
+// MergeSweepCheckpoints. Records arrive in ascending run order, each run at
+// most once; a run that never arrives is incomplete, canceled or for the
+// reason ctxErr gives. A record is read only during add, so a caller may
+// decode each record into a scratch record it reuses; the strings the fold
+// keeps must outlive it.
 type sweepFold struct {
 	out      *SweepReport
-	lo       int
-	baseSeed int64
 	rules    []map[string]bool
-	seen     []uint64 // bit i set once run lo+i is added
+	next, hi int // next is the lowest run not yet folded or missed
+	baseSeed int64
+	reason   string // a missed run's Incomplete reason
 }
 
-func newSweepFold(opts SweepOptions, dets []Detector, lo, hi int) *sweepFold {
-	f := &sweepFold{
-		out: &SweepReport{Runs: hi - lo}, lo: lo, baseSeed: opts.BaseSeed,
-		rules: make([]map[string]bool, len(dets)),
-		seen:  make([]uint64, (hi-lo+63)/64),
+func newSweepFold(opts SweepOptions, dets []Detector, lo, hi int, ctxErr error) sweepFold {
+	f := sweepFold{
+		out: &SweepReport{Runs: hi - lo}, rules: make([]map[string]bool, len(dets)),
+		next: lo, hi: hi, baseSeed: opts.BaseSeed, reason: harness.ReasonCanceled,
+	}
+	if ctxErr != nil {
+		f.reason = harness.CtxReason(ctxErr)
 	}
 	for di, d := range dets {
 		f.out.Detectors = append(f.out.Detectors, SweepStat{Detector: d.Name, FirstRun: -1})
@@ -651,10 +651,10 @@ func newSweepFold(opts SweepOptions, dets []Detector, lo, hi int) *sweepFold {
 	return f
 }
 
-// add folds one run's record.
+// add folds rec, after missing the runs before it that never arrived.
 func (f *sweepFold) add(rec *sweepRecord) {
-	i := rec.Run - f.lo
-	f.seen[i/64] |= 1 << (i % 64)
+	f.miss(rec.Run)
+	f.next = rec.Run + 1
 	if rec.Err != nil {
 		f.out.Incomplete = append(f.out.Incomplete, IncompleteRun{
 			Run: rec.Run, Seed: rec.Seed, Reason: harness.ReasonPanic, Detail: rec.Err.PanicValue,
@@ -668,8 +668,9 @@ func (f *sweepFold) add(rec *sweepRecord) {
 		st.Events += rec.Events[di]
 		if v.Detected {
 			st.DetectedRuns++
-			if st.FirstRun < 0 || rec.Run < st.FirstRun {
-				st.FirstRun, st.Sample = rec.Run, v.Message
+			if st.FirstRun < 0 {
+				st.FirstRun = rec.Run
+				st.Sample = v.Message
 			}
 		}
 		for _, r := range v.Rules {
@@ -678,21 +679,19 @@ func (f *sweepFold) add(rec *sweepRecord) {
 	}
 }
 
-// report finishes the fold. Runs never added are incomplete: canceled, or
-// the reason ctxErr gives when non-nil.
-func (f *sweepFold) report(elapsed []time.Duration, ctxErr error) *SweepReport {
+// miss records the runs from f.next up to run as incomplete.
+func (f *sweepFold) miss(run int) {
+	for ; f.next < run; f.next++ {
+		f.out.Incomplete = append(f.out.Incomplete, IncompleteRun{
+			Run: f.next, Seed: f.baseSeed + int64(f.next), Reason: f.reason,
+		})
+	}
+}
+
+// report misses the runs after the last record and finishes the fold.
+func (f *sweepFold) report(elapsed []time.Duration) *SweepReport {
+	f.miss(f.hi)
 	out := f.out
-	reason := harness.ReasonCanceled
-	if ctxErr != nil {
-		reason = harness.CtxReason(ctxErr)
-	}
-	for i := range out.Runs {
-		if f.seen[i/64]&(1<<(i%64)) == 0 {
-			run := f.lo + i
-			out.Incomplete = append(out.Incomplete, IncompleteRun{Run: run, Seed: f.baseSeed + int64(run), Reason: reason})
-		}
-	}
-	slices.SortFunc(out.Incomplete, func(a, b IncompleteRun) int { return cmp.Compare(a.Run, b.Run) })
 	for di := range out.Detectors {
 		if elapsed != nil {
 			out.Detectors[di].Elapsed = elapsed[di]
@@ -757,13 +756,13 @@ var (
 // exactly as a canceled serial sweep's would. Failures wrap the ErrShard*
 // sentinels, never fold silently.
 //
-// Each record is decoded into one scratch record and folded as it is
-// checked, and the sources are walked together in run order, so the merge
-// keeps no per-record state and the report does not depend on the order of
-// srcs. When dst is non-empty the merged log is streamed there, through a
-// synced temp file renamed over dst once every source checked out: the
-// header, then the sources' record frames in run order, copied byte for
-// byte. Records hold no wall time and the header no shard identity, so that
+// The sources are walked together in run order, each frame decoded into
+// its source's scratch record and folded when the walk takes it, so the
+// merge keeps no per-record state and neither the report nor the merged log
+// depends on the order of srcs. When dst is non-empty the merged log is
+// streamed there, through a synced temp file renamed over dst once every
+// source checked out: the header, then the sources' record frames in run
+// order, copied byte for byte. Records hold no wall time and the header no shard identity, so that
 // file is byte-identical to the log an uninterrupted serial sweep of the
 // same options writes.
 func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ...Detector) (*SweepReport, error) {
@@ -772,8 +771,8 @@ func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ..
 	}
 	ident := sweepIdentity(opts, dets)
 	m := &merger{
-		opts: opts, dec: newRecordDecoder(dets), rec: new(sweepRecord),
-		fold: newSweepFold(opts, dets, 0, opts.Runs),
+		opts: opts, dec: newRecordDecoder(dets),
+		fold: newSweepFold(opts, dets, 0, opts.Runs, nil),
 		curs: make([]mergeCursor, len(srcs)),
 	}
 	seen := make(map[string]bool, len(srcs))
@@ -793,7 +792,7 @@ func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ..
 		if have != ident {
 			return nil, fmt.Errorf("detect: shard checkpoint %s was written under different options:\n  have %q\n  want %q\n  %w", src, have, ident, ErrShardFingerprint)
 		}
-		m.curs[i] = mergeCursor{path: src, body: body, run: -1}
+		m.curs[i] = mergeCursor{path: src, body: body, rec: sweepRecord{Run: -1}}
 		if err := m.next(&m.curs[i]); err != nil {
 			return nil, err
 		}
@@ -817,33 +816,32 @@ func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ..
 			return nil, err
 		}
 	}
-	return m.fold.report(nil, nil), nil
+	return m.fold.report(nil), nil
 }
 
-// merger is one MergeSweepCheckpoints call: a cursor per source, the
-// scratch record every frame decodes into, the fold, and the merged log's
-// temp file (nil without dst) with its first write error.
+// merger is one MergeSweepCheckpoints call: a cursor per source, the fold,
+// and the merged log's temp file (nil without dst) with its first write
+// error.
 type merger struct {
 	opts SweepOptions
 	dec  *recordDecoder
-	rec  *sweepRecord
-	fold *sweepFold
+	fold sweepFold
 	curs []mergeCursor
 	out  *atomicFile
 	werr error
 }
 
 // mergeCursor walks one source's record frames. The frame at body[off:]
-// has been checked and folded; size is its length (0 once the source is
-// exhausted) and run its run.
+// has been checked and decoded into rec, the source's scratch record, but
+// not yet taken; size is its length, 0 once the source is exhausted.
 type mergeCursor struct {
 	path      string
 	body      []byte
 	off, size int
-	run       int
+	rec       sweepRecord
 }
 
-// next moves c past its current frame, then checks and folds the frame
+// next moves c past its current frame, then checks and decodes the frame
 // after it.
 func (m *merger) next(c *mergeCursor) error {
 	c.off += c.size
@@ -851,45 +849,40 @@ func (m *merger) next(c *mergeCursor) error {
 	if c.off == len(c.body) {
 		return nil
 	}
-	size, err := nextRecord(c.body[c.off:], m.opts, m.dec, m.rec, c.run)
+	size, err := nextRecord(c.body[c.off:], m.opts, m.dec, &c.rec, c.rec.Run)
 	if err != nil {
 		return fmt.Errorf("detect: shard checkpoint %s: record frame at byte %d: %w (%w)", c.path, c.off, err, ErrShardUnreadable)
 	}
-	m.fold.add(m.rec)
-	c.size, c.run = size, m.rec.Run
+	c.size = size
 	return nil
 }
 
-// merge takes the sources' frames in run order, each source's run-ordered
-// frames merged by their lowest next run, and copies them to m.out in spans
-// of consecutive frames from one source: for contiguous shards, one write
-// per source. A run taken twice means two sources hold it.
+// merge takes the sources' frames in run order, always the lowest next run
+// of any source, and folds each as it takes it. It copies them to m.out in
+// spans of consecutive frames from one source: for contiguous shards, one
+// write per source. A run taken twice means two sources hold it.
 func (m *merger) merge() error {
 	var span *mergeCursor // source of the frames taken but not yet written
 	spanStart, prev := 0, -1
 	for {
-		// While the last source yields the very next run, nothing can
-		// come before it; only a gap needs the scan over every source.
-		c := span
-		if c == nil || c.size == 0 || c.run != prev+1 {
-			c = nil
-			for i := range m.curs {
-				if k := &m.curs[i]; k.size > 0 && (c == nil || k.run < c.run) {
-					c = k
-				}
+		var c *mergeCursor
+		for i := range m.curs {
+			if k := &m.curs[i]; k.size > 0 && (c == nil || k.rec.Run < c.rec.Run) {
+				c = k
 			}
 		}
 		if c == nil {
 			break
 		}
-		if c.run <= prev {
-			return fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", c.run, c.path, ErrShardOverlap)
+		if c.rec.Run <= prev {
+			return fmt.Errorf("detect: run %d appears in more than one shard checkpoint (%s) — shards must partition the seed range: %w", c.rec.Run, c.path, ErrShardOverlap)
 		}
 		if c != span {
 			m.write(span, spanStart)
 			span, spanStart = c, c.off
 		}
-		prev = c.run
+		prev = c.rec.Run
+		m.fold.add(&c.rec)
 		if err := m.next(c); err != nil {
 			return err
 		}

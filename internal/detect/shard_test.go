@@ -214,9 +214,34 @@ func TestMergeInterleavedSources(t *testing.T) {
 	}
 }
 
+// TestSweepWithLogMatchesCheckpoint: the log SweepWithLog encodes in memory
+// is the checkpoint the same shard sweep writes, panicked runs included,
+// and is allocated at exactly its length, so recordLen agrees with
+// appendRecord on every record.
+func TestSweepWithLogMatchesCheckpoint(t *testing.T) {
+	dets := []Detector{MustLookup("race"), MustLookup("leak"), boomDetector(func(seed int64) bool { return seed%7 == 0 })}
+	opts := SweepOptions{Runs: 60, BaseSeed: 3, ShardCount: 3, ShardIndex: 1, Workers: 2, Config: sim.Config{Name: "shard-prog"}}
+	rep, log := SweepWithLog(shardProg, opts, dets...)
+	if cap(log) != len(log) {
+		t.Errorf("log of %d bytes was allocated with capacity %d", len(log), cap(log))
+	}
+	fileOpts := opts
+	fileOpts.Checkpoint = filepath.Join(t.TempDir(), "shard.ck")
+	fileRep := Sweep(shardProg, fileOpts, dets...)
+	if !bytes.Equal(log, readFile(t, fileOpts.Checkpoint)) {
+		t.Error("in-memory log differs from the checkpoint the same sweep writes")
+	}
+	if !reflect.DeepEqual(stripElapsed(rep), stripElapsed(fileRep)) {
+		t.Errorf("reports differ:\n  in memory %+v\n  file      %+v", rep, fileRep)
+	}
+	if len(rep.Incomplete) == 0 || rep.Detectors[0].DetectedRuns == 0 {
+		t.Fatalf("the log should hold panicked runs and detected races: %+v", rep)
+	}
+}
+
 // TestMergeAllocationsDoNotGrowWithRuns: the merge decodes every record into
-// one scratch record and streams frames from the source logs to the merged
-// file, so merging four shard logs allocates as many objects for a
+// its source's scratch record and streams frames from the source logs to the
+// merged file, so merging four shard logs allocates as many objects for a
 // 4000-run sweep as for a 400-run one, give or take the interned strings
 // and the growth of the decoder's maps.
 func TestMergeAllocationsDoNotGrowWithRuns(t *testing.T) {
