@@ -849,7 +849,7 @@ func (m *merger) next(c *mergeCursor) error {
 	if c.off == len(c.body) {
 		return nil
 	}
-	size, err := nextRecord(c.body[c.off:], m.opts, m.dec, &c.rec, c.rec.Run)
+	size, err := nextRecord(c.body[c.off:], &m.opts, m.dec, &c.rec, c.rec.Run)
 	if err != nil {
 		return fmt.Errorf("detect: shard checkpoint %s: record frame at byte %d: %w (%w)", c.path, c.off, err, ErrShardUnreadable)
 	}

@@ -252,7 +252,7 @@ func readLogHeader(data []byte) (ident string, body []byte, err error) {
 // returns the frame's size. It fails if the frame is torn, fails its CRC or
 // does not decode, or if its record names a run outside [0, opts.Runs), a
 // seed other than that run's, or a run not above last.
-func nextRecord(body []byte, opts SweepOptions, d *recordDecoder, rec *sweepRecord, last int) (int, error) {
+func nextRecord(body []byte, opts *SweepOptions, d *recordDecoder, rec *sweepRecord, last int) (int, error) {
 	payload, size, err := frame.Next(body, 1)
 	if err != nil {
 		return 0, err
@@ -277,7 +277,7 @@ func scanRecords(body []byte, opts SweepOptions, d *recordDecoder, fn func(rec *
 	off, last := 0, -1
 	for off < len(body) {
 		rec := new(sweepRecord)
-		size, err := nextRecord(body[off:], opts, d, rec, last)
+		size, err := nextRecord(body[off:], &opts, d, rec, last)
 		if err != nil {
 			return off, fmt.Errorf("record frame at byte %d: %w", off, err)
 		}
