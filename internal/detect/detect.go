@@ -762,9 +762,9 @@ var (
 // depends on the order of srcs. When dst is non-empty the merged log is
 // streamed there, through a synced temp file renamed over dst once every
 // source checked out: the header, then the sources' record frames in run
-// order, copied byte for byte. Records hold no wall time and the header no shard identity, so that
-// file is byte-identical to the log an uninterrupted serial sweep of the
-// same options writes.
+// order, copied byte for byte. Records hold no wall time and the header no
+// shard identity, so that file is byte-identical to the log an
+// uninterrupted serial sweep of the same options writes.
 func MergeSweepCheckpoints(dst string, srcs []string, opts SweepOptions, dets ...Detector) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 100
